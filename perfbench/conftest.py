@@ -1,0 +1,6 @@
+"""Test set-up: the benchmark imports the program from ``src/``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
