@@ -56,22 +56,12 @@ class Arena:
         self._bufs[name] = buf
         return buf
 
-    def __contains__(self, name):
-        return name in self._bufs
-
     def __len__(self):
         return len(self._bufs)
 
     @property
     def nbytes(self):
         return sum(b.nbytes for b in self._bufs.values())
-
-    def describe(self):
-        """{name: (shape, dtype, nbytes)} for docs and tests."""
-        return {
-            name: (buf.shape, str(buf.dtype), buf.nbytes)
-            for name, buf in sorted(self._bufs.items())
-        }
 
 
 class Op:

@@ -2,8 +2,7 @@
 
 A *schedule* is a flat dict of per-site strategy choices (see
 :mod:`repro.compile.plan`): which conv algorithm each dense site uses
-(``tensordot`` vs explicit im2col ``gemm``), which depthwise strategy
-each ODE conv uses (``taps`` vs ``patches``), and whether per-step time
+(``tensordot`` vs explicit im2col ``gemm``) and whether per-step time
 planes are precomputed (``unrolled``) or multiplied at step time
 (``runtime``).  The right choices are machine-dependent — BLAS builds,
 cache sizes and core counts move the crossover points — so
@@ -134,9 +133,8 @@ def save_schedule(packed, schedule, *, tuned=False, best_ms=None,
 def schedule_axes(packed):
     """The tunable axes of a packed plan: ``[(key, [choices...])]``.
 
-    One dense-conv axis per conv/fconv stage, one depthwise axis per
-    DSC time conv inside the ODE dynamics, plus the global time-plane
-    mode.  The first choice of each axis is the heuristic default.
+    One dense-conv axis per conv/fconv stage plus the global
+    time-plane mode.  The first choice of each axis is the heuristic default.
     """
     axes = []
     for stage in lower(packed):
@@ -148,18 +146,6 @@ def schedule_axes(packed):
             # would drift past the backend tolerance, so it gets no axis
             if groups == 1 and stage.ir.weight.dtype == np.float64:
                 axes.append((f"conv:{stage.name}", ["tensordot", "gemm"]))
-        elif stage.op == "ode":
-            func = stage.ir.func
-            convs = (
-                (("conv1", func.conv1), ("conv2", func.conv2))
-                if func.kind == "conv"
-                else (("down", func.down), ("up", func.up))
-            )
-            for cname, tc in convs:
-                if tc.kind == "dsc":
-                    axes.append(
-                        (f"dw:{stage.name}.{cname}", ["taps", "patches"])
-                    )
     axes.append(("time_planes", ["unrolled", "runtime"]))
     return axes
 

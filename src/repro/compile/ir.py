@@ -34,8 +34,9 @@ import numpy as np
 
 #: bump to invalidate every cached schedule across releases
 #: (2: float32 convs lost their gemm axis — cached schedules carrying
-#: one would now silently bind as tensordot)
-COMPILE_VERSION = 2
+#: one would now silently bind as tensordot; 3: the ``dw:<site>`` axis
+#: is gone — every depthwise conv runs the banded kernel)
+COMPILE_VERSION = 3
 
 _F64 = np.float64
 
@@ -99,8 +100,8 @@ class ConvSpec:
 class TimeConvIR:
     """A time-concat conv split into data-conv + additive time map.
 
-    ``kind`` is ``"dsc"`` (depthwise-separable: depthwise taps over the
-    data channels, then a pointwise GEMM) or ``"dense"``.  The trailing
+    ``kind`` is ``"dsc"`` (depthwise-separable: a banded depthwise conv
+    over the data channels, then a pointwise GEMM) or ``"dense"``.  The trailing
     input channel — the one the runtime fed the ``t`` plane — is carried
     separately (``dw_t`` / ``w_t`` and, for DSC, its pointwise column
     ``pw_t``) so the plan can precompute ``M`` once per geometry and add

@@ -13,11 +13,12 @@ allocation; see :mod:`repro.compile.steps`).
 
 The step program is scheduled by a plain dict (see
 :mod:`repro.compile.autotune`): per-site conv strategies
-(``tensordot`` vs explicit im2col ``gemm`` for dense convs, ``taps`` vs
-``patches`` for depthwise) and the time-plane mode (``unrolled``
-per-step precomputation vs ``runtime`` multiply).  Unknown keys are
-ignored and missing keys fall back to heuristics, so cached schedules
-stay forward compatible.
+(``tensordot`` vs explicit im2col ``gemm`` for dense convs) and the
+time-plane mode (``unrolled`` per-step precomputation vs ``runtime``
+multiply).  Depthwise convs have one strategy, the banded kernel of
+:mod:`repro.kernels.banded` on diagonals built at bind time.  Unknown
+keys are ignored and missing keys fall back to heuristics, so cached
+schedules stay forward compatible.
 
 When kernel instrumentation is active (``kernels.collect`` /
 ``InferenceSession(instrument=True)``), every step op routes through
@@ -35,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .. import kernels
-from ..kernels import shapes
+from ..kernels import banded, shapes
 from ..ode.solvers import fixed_grid_loop
 from . import steps
 from .arena import Arena, OpList
@@ -50,10 +51,6 @@ class CompileError(RuntimeError):
 
 def _conv_mode(schedule, site):
     return schedule.get(f"conv:{site}", "tensordot")
-
-
-def _dw_mode(schedule, site):
-    return schedule.get(f"dw:{site}", "taps")
 
 
 def _time_mode(schedule):
@@ -166,8 +163,8 @@ class _BoundTimeConv:
     """A time-concat conv bound to geometry + arena.
 
     ``make_dw(src)`` / ``make_pw(src, out)`` return zero-argument-ish
-    ``fn(i, t)`` step bodies with every view (canvas windows, per-tap
-    weight columns, 2-D GEMM aliases of the arena buffers) precomputed,
+    ``fn(i, t)`` step bodies with every operand (depthwise diagonals,
+    canvas windows, 2-D GEMM aliases of the arena buffers) precomputed,
     so the Euler loop does no per-step slicing or reshaping.
 
     ``out_scale`` / ``out_shift`` fold a per-output-channel affine —
@@ -199,60 +196,28 @@ class _BoundTimeConv:
             m, bias, ts, _time_mode(schedule), arena, f"{prefix}.plane"
         )
         if tc.kind == "dsc":
-            ph, pw = tc.padding
-            sh, sw = tc.stride
-            oh, ow = _conv_out_hw(h, w, tc.dw_x.shape, tc.stride, tc.padding)
-            canvas = arena.buffer(
-                f"{prefix}.canvas", (n, c, h + 2 * ph, w + 2 * pw), zero=True
-            )
-            d = arena.buffer(f"{prefix}.dw", (n, c, oh, ow))
-            mode = _dw_mode(schedule, site)
-            if mode == "patches":
-                patches = shapes.as_strided_patches(canvas, *tc.dw_x.shape[2:],
-                                                    sh, sw)
-                w_ckl = np.ascontiguousarray(tc.dw_x[:, 0])
+            if not banded.is_banded(tc.stride, tc.padding,
+                                    *tc.dw_x.shape[2:]):
+                raise CompileError(f"{site}: depthwise conv is not "
+                                   f"stride-1, same-padded and odd-k")
+            d = arena.buffer(f"{prefix}.dw", (n, c, h, w))
+            offsets, diags = banded.depthwise_diagonals(tc.dw_x, h, w, _F64)
 
-                def make_dw(src):
-                    def dw_fn(i, t):
-                        steps.fill_canvas(canvas, src, ph, pw)
-                        return steps.depthwise_patches(patches, w_ckl, d)
+            def make_dw(src):
+                def dw_fn(i, t):
+                    return banded.depthwise_banded(src, offsets, diags, d)
 
-                    return dw_fn
-            else:
-                scratch = arena.buffer(f"{prefix}.dwscratch", (n, c, oh, ow))
-                kh, kw = tc.dw_x.shape[2], tc.dw_x.shape[3]
-                pairs = [
-                    (
-                        np.ascontiguousarray(
-                            tc.dw_x[:, 0, i, j]
-                        ).reshape(1, -1, 1, 1),
-                        canvas[:, :, i : i + sh * oh : sh,
-                               j : j + sw * ow : sw],
-                    )
-                    for i in range(kh)
-                    for j in range(kw)
-                ]
-                tap0, win0 = pairs[0]
-                rest = tuple(pairs[1:])
-
-                def make_dw(src):
-                    def dw_fn(i, t):
-                        steps.fill_canvas(canvas, src, ph, pw)
-                        return steps.depthwise_taps(
-                            tap0, win0, rest, d, scratch
-                        )
-
-                    return dw_fn
+                return dw_fn
 
             self.make_dw = make_dw
-            self.dw_writes = (f"{prefix}.canvas", f"{prefix}.dw")
+            self.dw_buf = f"{prefix}.dw"
             pw_x = tc.pw_x if row_sc is None else np.ascontiguousarray(
                 tc.pw_x * row_sc
             )
-            x2d = d.reshape(n, c, oh * ow)
+            x2d = d.reshape(n, c, h * w)
 
             def make_pw(src, out):
-                out2d = out.reshape(n, f, oh * ow)
+                out2d = out.reshape(n, f, h * w)
 
                 def pw_fn(i, t):
                     return steps.pointwise_affine(
@@ -262,8 +227,6 @@ class _BoundTimeConv:
                 return pw_fn
 
             self.make_pw = make_pw
-            self.pw_reads = (f"{prefix}.dw",)
-            self.out_hw = (oh, ow)
         elif tc.is_pointwise:
             w_x = np.ascontiguousarray(tc.w_x.reshape(f, c))
             if row_sc is not None:
@@ -282,7 +245,6 @@ class _BoundTimeConv:
                 return pw_fn
 
             self.make_pw = make_pw
-            self.out_hw = (h, w)
         else:  # dense k×k time conv inside the loop: arena im2col GEMM
             ph, pw = tc.padding
             sh, sw = tc.stride
@@ -311,7 +273,6 @@ class _BoundTimeConv:
                 return pw_fn
 
             self.make_pw = make_pw
-            self.out_hw = (oh, ow)
 
 
 def _bind_conv_func(ir, prefix, n, c, h, w, schedule, arena, impl, ts, h_step):
@@ -367,11 +328,11 @@ def _add_time_conv_ops(ops, tc, prefix, *, src, src_buf, dst, dst_buf, tag):
     if tc.make_dw is not None:
         ops.add(
             "conv2d", tc.make_dw(src_buf),
-            reads=(src,), writes=tc.dw_writes, tag=f"{tag}.dw",
+            reads=(src,), writes=(tc.dw_buf,), tag=f"{tag}.dw",
         )
         ops.add(
             "matmul", tc.make_pw(src_buf, dst_buf),
-            reads=tc.pw_reads, writes=(dst,), tag=f"{tag}.pw",
+            reads=(tc.dw_buf,), writes=(dst,), tag=f"{tag}.pw",
         )
     else:
         ops.add(

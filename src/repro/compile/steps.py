@@ -11,6 +11,10 @@ in this module — lint rule CMP001 enforces the ban statically, and
 runtime.  Anything that must allocate (binding, plane precomputation,
 the outer non-loop stages) belongs in :mod:`repro.compile.plan`.
 
+Depthwise convs have no body here: the step calls the ``fused``
+backend's banded kernel (:mod:`repro.kernels.banded`) into an arena
+buffer, on diagonals built at bind time.
+
 The math mirrors the reference kernels pass for pass — fused
 scale-shift-ReLU is the folded BN→ReLU pair, the softmax/LayerNorm
 in-place sequences follow the reference composites — so results stay
@@ -50,34 +54,6 @@ def fill_canvas(canvas, x, ph, pw):
     n, c, h, w = x.shape
     np.copyto(canvas[:, :, ph : ph + h, pw : pw + w], x)
     return canvas
-
-
-def depthwise_taps(tap0, win0, rest, out, scratch):
-    """Depthwise conv as multiply-accumulate over the kernel offsets.
-
-    The (1, C, 1, 1) per-tap weight columns and the strided canvas
-    window views are both precomputed at bind time (the canvas is a
-    persistent arena buffer, so its views are stable); the step body is
-    pure ufunc work.  First tap writes ``out`` directly, later taps go
-    through *scratch* — the same tap strategy as the fused backend,
-    minus its per-call output allocation and per-tap view construction.
-    """
-    np.multiply(tap0, win0, out=out)
-    for tap, window in rest:
-        np.multiply(tap, window, out=scratch)
-        np.add(out, scratch, out=out)
-    return out
-
-
-def depthwise_patches(patches, weight, out):
-    """Depthwise conv as one einsum over the zero-copy patch view.
-
-    *patches* is the (N, C, OH, OW, KH, KW) strided view of the padded
-    canvas; *weight* is (C, KH, KW).  The alternative depthwise
-    schedule the autotuner weighs against :func:`depthwise_taps`.
-    """
-    np.einsum("ncxykl,ckl->ncxy", patches, weight, out=out)
-    return out
 
 
 def pointwise_affine(x2d, wmat, plane, out, out2d):
@@ -122,13 +98,6 @@ def runtime_plane(m, bias, t, out):
     if bias is not None:
         np.add(out, bias, out=out)
     return out
-
-
-def euler_update(z, f, h):
-    """``z += f * h`` in place — one Euler step's state advance."""
-    np.multiply(f, h, out=f)
-    np.add(z, f, out=z)
-    return z
 
 
 # ----------------------------------------------------------------------

@@ -7,20 +7,12 @@ functions here, which dispatch to the calling thread's active *backend*:
 
 * ``reference`` — the original numpy kernels, bit-identical to the
   pre-kernel codebase; the default and the semantic ground truth.
-* ``fused`` — BLAS-routed convs, per-thread workspace reuse across ODE
+* ``fused`` — BLAS-routed convs, depthwise convs as one banded
+  multiply-accumulate shared with ``compiled`` and ``quantized``
+  (:mod:`repro.kernels.banded`), per-thread caches reused across ODE
   solver steps, and in-place elementwise rewrites; agrees with
   ``reference`` to float rounding (≤1e-6 relative, pinned by the
   parity suite) and is exactly equal on integer fixed-point arrays.
-
-Four consumer layers sit on this seam: the autograd ops
-(``repro.tensor.ops_*``), the eval fast paths (``repro.nn.functional``),
-the fixed-point kernels (``repro.fixedpoint``, which wrap these kernels
-with quantise/rescale steps), and — transitively — the FPGA simulator's
-software reference.  Adding a backend means subclassing
-:class:`~repro.kernels.reference.ReferenceBackend`, overriding the
-kernels you can beat, and calling :func:`register_backend`; see
-``docs/ARCHITECTURE.md`` ("Kernel backends").
-
 * ``compiled`` — everything ``fused`` does, plus a plan compiler for
   packed ODE nets (:mod:`repro.compile`): BN folding, fused
   scale-shift-ReLU, time-channel decomposition and a preallocated
@@ -32,6 +24,15 @@ kernels you can beat, and calling :func:`register_backend`; see
   packs a ``QuantizedODENetExecutor`` into a scale-folded
   ``QuantizedPlan``; **bit-identical** to ``reference`` on integer
   arrays (pinned per registry model and Q-format by the parity suite).
+
+Four consumer layers sit on this seam: the autograd ops
+(``repro.tensor.ops_*``), the eval fast paths (``repro.nn.functional``),
+the fixed-point kernels (``repro.fixedpoint``, which wrap these kernels
+with quantise/rescale steps), and — transitively — the FPGA simulator's
+software reference.  Adding a backend means subclassing
+:class:`~repro.kernels.reference.ReferenceBackend`, overriding the
+kernels you can beat, and calling :func:`register_backend`; see
+``docs/ARCHITECTURE.md`` ("Kernel backends").
 
 Selection follows one documented precedence, resolved by
 :func:`resolve_backend`: explicit argument > ambient

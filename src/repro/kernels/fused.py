@@ -6,14 +6,14 @@ the parity suite in ``tests/test_kernels.py``):
 
 * **conv2d** picks a shape-specialised strategy instead of the generic
   grouped einsum: 1×1 stride-1 pointwise convs collapse to one batched
-  GEMM over the channel axis, depthwise convs accumulate directly over
-  the (few) kernel offsets, and dense convs contract the zero-copy
-  patch view with ``np.tensordot`` so the heavy lifting lands in BLAS
-  ``matmul`` rather than the einsum machinery.
-* **padded inputs** are staged into a per-thread workspace whose zero
-  border is written once and reused across calls — the ODE solver calls
-  the same conv geometry every step, so after step one padding costs a
-  single interior copy.
+  GEMM over the channel axis, same-padded depthwise convs run the
+  banded multiply-accumulate of :mod:`repro.kernels.banded`, and dense
+  convs contract the zero-copy patch view with ``np.tensordot`` so the
+  heavy lifting lands in BLAS ``matmul``, not the einsum machinery.
+* **per-thread caches** hold the banded diagonals (a bounded LRU keyed
+  by weight content, so an in-place hot swap misses) and the padded
+  dense-conv inputs (a zero border written once) — the ODE solver
+  reuses each conv geometry every step.
 * **softmax / batchnorm** reuse their intermediates in place, halving
   temporary allocations on the attention hot path.
 
@@ -33,15 +33,20 @@ import threading
 
 import numpy as np
 
-from . import shapes
+from . import banded, shapes
 from .reference import ReferenceBackend
 
 
+#: per-thread LRU bound on cached depthwise diagonal sets (one a site)
+DIAGONAL_CACHE_ENTRIES = 16
+
+
 class _Workspace(threading.local):
-    """Per-thread scratch arrays keyed by (tag, shape, dtype)."""
+    """Per-thread scratch arrays and banded depthwise diagonals."""
 
     def __init__(self):
         self.cache = {}
+        self.diags = {}
 
     def get(self, tag, shape, dtype):
         key = (tag, shape, np.dtype(dtype).str)
@@ -49,6 +54,19 @@ class _Workspace(threading.local):
         if buf is None:
             buf = self.cache[key] = np.zeros(shape, dtype=dtype)
         return buf
+
+    def diagonals(self, weight, h, w, dtype):
+        """Cached :func:`banded.depthwise_diagonals`, keyed by the
+        weight's bytes so an in-place write (a hot swap) misses."""
+        key = (weight.shape, weight.dtype.str, weight.tobytes(), h, w,
+               dtype.str)
+        hit = self.diags.pop(key, None)  # re-inserted as most recent
+        if hit is None:
+            hit = banded.depthwise_diagonals(weight, h, w, dtype)
+            if len(self.diags) >= DIAGONAL_CACHE_ENTRIES:
+                del self.diags[next(iter(self.diags))]
+        self.diags[key] = hit
+        return hit
 
 
 class FusedBackend(ReferenceBackend):
@@ -60,21 +78,6 @@ class FusedBackend(ReferenceBackend):
         self._ws = _Workspace()
 
     # -- convolution ---------------------------------------------------
-    def _padded(self, x, ph, pw):
-        """Stage *x* into a reusable zero-bordered canvas.
-
-        The border is zeroed exactly once (at allocation); every call
-        only rewrites the interior, so steady-state padding is one copy
-        with no allocation.  The canvas never escapes: every strategy
-        below reads it through a patch view and writes a fresh output.
-        """
-        if ph == 0 and pw == 0:
-            return x
-        n, c, h, w = x.shape
-        xp = self._ws.get("pad", (n, c, h + 2 * ph, w + 2 * pw), x.dtype)
-        xp[:, :, ph : ph + h, pw : pw + w] = x
-        return xp
-
     def conv2d(self, x, weight, stride=(1, 1), padding=(0, 0), groups=1):
         n, c, h, w, f, cg, kh, kw, fg, oh, ow = shapes.conv_geometry(
             x.shape, weight.shape, stride, padding, groups
@@ -87,35 +90,30 @@ class FusedBackend(ReferenceBackend):
             out = np.matmul(weight.reshape(f, c), x.reshape(n, c, h * w))
             return out.reshape(n, f, oh, ow)
 
-        xp = self._padded(x, ph, pw)
+        # Same-padded depthwise: the banded kernel, no padding canvas.
+        dtype = np.result_type(x, weight)
+        if (groups == c == f and dtype in banded.BANDED_DTYPES
+                and banded.is_banded(stride, padding, kh, kw)):
+            offsets, diags = self._ws.diagonals(weight, h, w, dtype)
+            return banded.depthwise_banded(
+                np.ascontiguousarray(x, dtype=dtype), offsets, diags,
+                np.empty((n, c, h, w), dtype=dtype),
+            )
 
-        # Depthwise: direct multiply-accumulate over kernel offsets.
-        if groups == c and f == c and cg == 1:
-            out = None
-            scratch = None
-            for i in range(kh):
-                for j in range(kw):
-                    tap = weight[:, 0, i, j].reshape(1, c, 1, 1)
-                    window = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-                    if out is None:
-                        out = np.multiply(tap, window)
-                        scratch = self._ws.get("dw", out.shape, out.dtype)
-                    else:
-                        np.multiply(tap, window, out=scratch)
-                        out += scratch
-            return out
-
-        patches = shapes.as_strided_patches(xp, kh, kw, sh, sw)
         if groups == 1:
-            # Contract (C, KH, KW) against the weight via BLAS.
+            # Contract (C, KH, KW) against the weight via BLAS, padding
+            # on a reusable canvas whose zero border is written once.
+            xp = x
+            if ph or pw:
+                xp = self._ws.get("pad", (n, c, h + 2 * ph, w + 2 * pw),
+                                  x.dtype)
+                xp[:, :, ph : ph + h, pw : pw + w] = x
+            patches = shapes.as_strided_patches(xp, kh, kw, sh, sw)
             out = np.tensordot(patches, weight, axes=([1, 4, 5], [1, 2, 3]))
             return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
         # General grouped case: the reference einsum (rare in practice).
-        pg = patches.reshape(n, groups, cg, oh, ow, kh, kw)
-        wg = weight.reshape(groups, fg, cg, kh, kw)
-        out = np.einsum("ngcxykl,gfckl->ngfxy", pg, wg, optimize=True)
-        return np.ascontiguousarray(out.reshape(n, f, oh, ow))
+        return super().conv2d(x, weight, stride, padding, groups)
 
     def maxpool2d(self, x, kernel_size, stride=None, padding=(0, 0)):
         kh, kw = kernel_size

@@ -160,6 +160,15 @@ class TestScheduleCache:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(entry, fh)
         assert load_schedule(packed) is None
+        # a version-2 schedule still carrying the retired depthwise axis
+        # misses rather than binding its ``dw:`` choices
+        entry["compile_version"] = 2
+        entry["schedule"]["dw:block1.conv1"] = "patches"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        assert load_schedule(packed) is None
+        assert compile_packed(packed).schedule == default_schedule(packed)
+        assert not any(k.startswith("dw:") for k in default_schedule(packed))
 
     def test_corrupt_cache_file_is_a_miss(self, schedule_cache):
         packed = self._packed()

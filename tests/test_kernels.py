@@ -15,9 +15,14 @@ The kernel layer's contract has three parts, each pinned here:
   backends.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro import kernels
 from repro.fixedpoint import QFormat, QuantizedMHSA2d
 from repro.kernels import shapes
@@ -283,6 +288,102 @@ class TestBackendParity:
         ]
         for got_ref, got_b in cases:
             assert _relative_close(got_ref, got_b)
+
+
+# (N, C, H, W, k): odd k in {1, 3, 5}, H or W smaller than k, N = 1, C = 1
+BANDED_GEOMETRIES = (
+    (2, 6, 8, 8, 1),
+    (2, 6, 8, 8, 3),
+    (2, 6, 8, 9, 5),
+    (2, 3, 2, 7, 5),
+    (2, 3, 7, 1, 3),
+    (1, 4, 5, 5, 3),
+    (3, 1, 6, 4, 3),
+    (1, 1, 1, 1, 5),
+)
+
+
+class TestBandedDepthwise:
+    """Same-padded depthwise convs run as one banded multiply-accumulate
+    (repro.kernels.banded) under fused, compiled and quantized."""
+
+    @staticmethod
+    def _conv(backend, x, w):
+        k = w.shape[2]
+        return kernels.get_backend(backend).conv2d(
+            x, w, (1, 1), (k // 2, k // 2), x.shape[1]
+        )
+
+    @pytest.mark.parametrize("geom", BANDED_GEOMETRIES)
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_float_parity(self, geom, dtype, rng):
+        n, c, h, w, k = geom
+        x = rng.normal(size=(n, c, h, w)).astype(dtype)
+        wt = rng.normal(size=(c, 1, k, k)).astype(dtype)
+        ref = self._conv("reference", x, wt)
+        got = self._conv("fused", x, wt)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert _relative_close(ref, got)
+
+    @pytest.mark.parametrize("geom", BANDED_GEOMETRIES)
+    @pytest.mark.parametrize("backend", ("fused", "quantized"))
+    def test_integer_raws_exact(self, geom, backend, rng):
+        n, c, h, w, k = geom
+        x = rng.integers(-2**12, 2**12, size=(n, c, h, w))
+        wt = rng.integers(-2**8, 2**8, size=(c, 1, k, k))
+        ref = self._conv("reference", x, wt)
+        np.testing.assert_array_equal(self._conv(backend, x, wt), ref)
+        # integer-valued float raws (the quantized plan's carry)
+        np.testing.assert_array_equal(
+            self._conv(backend, x.astype(np.float64), wt.astype(np.float64)),
+            ref,
+        )
+
+    def test_in_place_weight_write_is_not_served_stale(self, rng):
+        """A hot swap writes new values into the served weight array in
+        place (``SharedWeightStore.write_arrays``); the next conv must
+        use them, not diagonals cached from the old values."""
+        x = rng.normal(size=(2, 4, 6, 6))
+        wt = rng.normal(size=(4, 1, 3, 3))
+        ref = kernels.get_backend("reference")
+        with kernels.use_backend("fused"):
+            kernels.conv2d(x, wt, padding=(1, 1), groups=4)
+            wt[...] = rng.normal(size=wt.shape)
+            got = kernels.conv2d(x, wt, padding=(1, 1), groups=4)
+        assert _relative_close(ref.conv2d(x, wt, (1, 1), (1, 1), 4), got)
+
+    def test_diagonal_cache_is_bounded(self, rng):
+        from repro.kernels.fused import DIAGONAL_CACHE_ENTRIES
+
+        fused = kernels.get_backend("fused")
+        x = rng.normal(size=(1, 3, 5, 5))
+        for _ in range(3 * DIAGONAL_CACHE_ENTRIES):
+            self._conv("fused", x, rng.normal(size=(3, 1, 3, 3)))
+        assert 0 < len(fused._ws.diags) <= DIAGONAL_CACHE_ENTRIES
+
+    def test_import_footprint_has_no_scipy_sparse(self):
+        """The kernel binds scipy's compiled loop without importing the
+        ``scipy.sparse`` package (about 20 MB of resident memory)."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import repro.kernels as k\n"
+            "k.get_backend('fused').conv2d(\n"
+            "    np.ones((1, 2, 4, 4)), np.ones((2, 1, 3, 3)), (1, 1), (1, 1), 2)\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_unbindable_routine_raises_import_error(self, tmp_path):
+        with pytest.raises(ImportError, match="scipy"):
+            kernels.banded._bind_dia_matvec(str(tmp_path))
 
 
 # ODE-family registry models — the ones QuantizedODENetExecutor accepts.
