@@ -8,21 +8,24 @@ generation **without pausing serving**:
 * with a :class:`~repro.cluster.SharedWeightStore` the arrays are
   written in place and the single header bump
   (:meth:`SharedWeightStore.refresh`) moves every co-located replica —
-  thread or forked — at once;
+  thread or forked — at once; each replica then gets one
+  :meth:`~repro.serve.Replica.refresh` (a ``refresh`` op for a fork) so
+  packed and quantized plans re-derive from the new arrays;
 * plain thread replicas get an in-place
   :meth:`~repro.serve.Replica.load_weights` — the primary *and* every
   degrade-tier float model, which hold private copies without a store
   (packed plans hold ``.data`` by reference, so the write is the swap)
   — plus a :meth:`~repro.serve.Replica.refresh` to re-freeze tiers and
   tick ``weights_version``;
-* :class:`~repro.cluster.RemoteReplica` slots ship the state over the
-  wire via the worker's ``publish`` op — once per worker *address*
-  (sibling slots observe the same host-side swap and only sync their
-  parent-side version counters);
-* local fork+pipe :class:`~repro.serve.ProcessReplica` children hold
-  private weight copies with no update channel — publishing to such a
-  pool is a configuration error unless it was built with
-  ``shared_weights=True``.
+* :class:`~repro.cluster.RemoteReplica` slots on other hosts ship the
+  state over the wire via the worker's ``publish`` op — once per worker
+  *address* (sibling slots observe the same host-side swap and only
+  sync their parent-side version counters);
+* local forked :class:`~repro.serve.ProcessReplica` workers share the
+  pool's store and never receive ``publish`` (each would bump the
+  shared header again); without a store their weights are private
+  copies with no update channel, so publishing to such a pool is a
+  configuration error unless it was built with ``shared_weights=True``.
 
 Requests in flight during a swap complete on whichever generation their
 arrays read — never torn *versions* (the header moves only after all
@@ -76,17 +79,18 @@ class WeightPublisher:
         t0 = time.perf_counter()
         local, remote = [], []
         for replica in self.pool:  # pool iteration snapshots under its lock
-            if callable(getattr(replica, "publish", None)):
-                remote.append(replica)
-            else:
+            if isinstance(replica, ProcessReplica) or \
+                    not callable(getattr(replica, "publish", None)):
                 local.append(replica)
+            else:
+                remote.append(replica)
 
         store = self.pool.weight_store
         if store is None:
             bad = [r.name for r in local if isinstance(r, ProcessReplica)]
             if bad:
                 raise PublishError(
-                    f"pool has fork+pipe replicas {bad} but no shared "
+                    f"pool has forked replicas {bad} but no shared "
                     "weight store; build it with shared_weights=True to "
                     "hot-swap process-mode replicas"
                 )

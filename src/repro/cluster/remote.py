@@ -1,10 +1,12 @@
-"""A :class:`~repro.serve.Replica` whose sessions live across TCP.
+"""A :class:`~repro.serve.Replica` whose sessions live in a worker.
 
-:class:`RemoteReplica` is the cluster analogue of
-:class:`~repro.serve.ProcessReplica`: same ``run/health/stats/refresh``
-surface, so it drops into an existing :class:`~repro.serve.ReplicaPool`
-unchanged — the scheduler cannot tell (and must not care) whether a
-lease crosses a pipe or a socket.  Each instance owns one
+:class:`RemoteReplica` is the parent half of the one replica protocol:
+same ``run/health/stats/refresh`` surface as an in-process
+:class:`~repro.serve.Replica`, so it drops into an existing
+:class:`~repro.serve.ReplicaPool` unchanged — the scheduler cannot
+tell (and must not care) whether a lease crosses a socketpair to a
+fork (:class:`~repro.serve.ProcessReplica` is a subclass) or TCP to
+another host.  Each instance owns one
 :class:`~repro.cluster.WorkerClient` connection, and the worker
 advertises how many local replicas it hosts; :func:`connect_worker`
 opens that many connections and returns one :class:`RemoteReplica` per
@@ -14,11 +16,11 @@ connection, parallelism = number of slots).
 
 Health accounting is parent-side and typed: ``PeerGone`` / ``OSError``
 (worker died) and ``TimeoutError`` (deadline passed; connection
-survives via sequence-id discard) count toward ``unhealthy_after``
-exactly like pipe failures do.  Statistics are parent-side round-trip
-latency — the latency the serving layer actually delivers.  Trace
-spans collected worker-side ship back with the reply and re-parent
-under the ambient dispatch span, mirroring PR 5's fork ingestion.
+survives via sequence-id discard) count toward ``unhealthy_after``.
+Statistics are parent-side round-trip latency — the latency the
+serving layer actually delivers.  Trace spans collected worker-side
+ship back with the reply and re-parent under the ambient dispatch
+span.
 """
 
 from __future__ import annotations
@@ -92,18 +94,16 @@ class RemoteReplica(Replica):
         """Parent-side statistics (round-trip serving latency)."""
         return self._stats
 
-    def run(self, samples, tier=None, degraded=False) -> np.ndarray:
+    def run(self, samples, tier=None) -> np.ndarray:
         """Round-trip one batch through the remote worker.
 
-        Tier routing is decided here (parent-side, like the pipe
-        protocol) against the ladder the worker advertised; the worker
-        executes it on its local sessions.  Failures feed the same
-        health accounting as every other replica kind.
+        Tier routing is decided here, parent-side, against the ladder
+        the worker advertised; the worker executes it on its local
+        sessions.  Failures feed the same health accounting as every
+        other replica kind.
         """
         from ..trace import current_tracer
 
-        if degraded and tier is None:
-            tier = "reduced"
         used = tier if tier in self.tier_sessions else None
         samples = np.asarray(samples)
         tracer = current_tracer()

@@ -1,8 +1,8 @@
 """mmap-backed shared packed weights: one weight set per host.
 
-Every fork+pipe :class:`~repro.serve.ProcessReplica` on a host used to
-carry its own private copy of the model weights — N replicas, N copies
-of the same arrays.  :class:`SharedWeightStore` lays the full
+Without a store, every forked :class:`~repro.serve.ProcessReplica` on a
+host carries its own private copy of the model weights — N replicas, N
+copies of the same arrays.  :class:`SharedWeightStore` lays the full
 ``state_dict`` into **one anonymous shared mmap** instead; replicas
 built after :meth:`adopt` serve straight out of that mapping, and a
 fork inherits the mapping rather than duplicating the pages

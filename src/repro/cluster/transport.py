@@ -1,22 +1,22 @@
-"""The client half of the cluster transport: :class:`WorkerClient`.
+"""The client half of the replica protocol: :class:`WorkerClient`.
 
-One :class:`WorkerClient` owns one TCP connection to one
-:mod:`repro.cluster.worker` process and serializes **request/response
-round trips** over it, exactly the way
-:class:`~repro.serve.ProcessReplica` serializes its pipe: a lock
-guards the whole send→recv exchange, every request carries a
-monotonically increasing sequence id, and every reply echoes the id of
-the request it answers.  The echo is what keeps the connection usable
-after a timeout — when a deadline expires mid-round-trip the worker's
-late reply stays buffered in the socket, and the *next* request
-discards it by sequence id instead of mistaking it for its own answer
-(the same regression the PR 4 pipe protocol hardened against, now on
-the TCP path).
+One :class:`WorkerClient` owns one stream connection to one worker —
+TCP to a :mod:`repro.cluster.worker` process, or one end of a
+``socket.socketpair()`` to the fork behind a
+:class:`~repro.serve.ProcessReplica` — and serializes **request/response
+round trips** over it: a lock guards the whole send→recv exchange,
+every request carries a monotonically increasing sequence id, and every
+reply echoes the id of the request it answers.  The echo is what keeps
+the connection usable after a timeout — when a deadline expires
+mid-round-trip the worker's late reply stays buffered in the socket,
+and the *next* request discards it by sequence id instead of mistaking
+it for its own answer and handing the previous batch's outputs to the
+wrong callers.
 
 Message shapes (all pickled frames, see :mod:`repro.cluster.wire`):
 
 * request:  ``(op, seq, payload)`` where ``op`` is one of ``"run"``,
-  ``"health"``, ``"stats"``, ``"refresh"``, ``"ping"``;
+  ``"health"``, ``"stats"``, ``"refresh"``, ``"publish"``, ``"ping"``;
 * reply: ``(seq, "ok", payload)`` or ``(seq, "err", exception)``;
 * on connect the worker speaks first with a ``("hello", info)`` frame
   describing itself (model, profile, tiers, replica count, shared
@@ -34,17 +34,14 @@ abandoned.
 
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 import time
 
 from .wire import (
-    HEADER_BYTES,
     WIRE_VERSION,
     PeerGone,
     WireProtocolError,
-    decode_header,
     encode_frame,
     format_address,
     recv_frame,
@@ -57,7 +54,10 @@ class WorkerClient:
     Parameters
     ----------
     address:
-        ``(host, port)`` of a listening :mod:`repro.cluster.worker`.
+        ``(host, port)`` of a listening :mod:`repro.cluster.worker`, or
+        an already-connected stream socket to adopt (the parent end of
+        a ``socket.socketpair()`` whose other end a forked worker
+        serves).
     timeout_s:
         default per-round-trip deadline (``None`` waits forever);
         individual :meth:`request` calls may override it.
@@ -66,15 +66,20 @@ class WorkerClient:
     """
 
     def __init__(self, address, *, timeout_s=None, connect_timeout_s=10.0):
-        self.address = (str(address[0]), int(address[1]))
         self.timeout_s = timeout_s
         self._lock = threading.Lock()
         self._seq = 0          # protected by _lock
         self._closed = False   # protected by _lock
-        self._sock = socket.create_connection(
-            self.address, timeout=connect_timeout_s
-        )
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if isinstance(address, socket.socket):
+            self.address = ("socketpair", address.fileno())
+            self._sock = address
+            self._sock.settimeout(connect_timeout_s)
+        else:
+            self.address = (str(address[0]), int(address[1]))
+            self._sock = socket.create_connection(
+                self.address, timeout=connect_timeout_s
+            )
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             kind, info = recv_frame(self._sock)
         except (PeerGone, WireProtocolError, OSError):
@@ -102,45 +107,6 @@ class WorkerClient:
         with self._lock:
             return self._closed
 
-    def _recv_exact_locked(self, n, deadline, what):
-        """Read exactly *n* bytes; the caller holds ``_lock``.
-
-        Re-arms the socket timeout from *deadline* before every read so
-        the whole round trip — not each read — is what the budget
-        bounds.  Raises :class:`PeerGone` on EOF, ``TimeoutError`` when
-        the deadline passes.
-        """
-        chunks, got = [], 0
-        while got < n:
-            if deadline is not None:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"worker {format_address(self.address)} did not "
-                        f"answer within the round-trip deadline"
-                    )
-                self._sock.settimeout(remaining)
-            # This suppression (and its twins below) is one deliberate
-            # design, mirroring ProcessReplica's pipe: _lock exists
-            # precisely to serialize the whole send->recv round trip —
-            # the seq-echo protocol assumes one in-flight request per
-            # connection — and every read is deadline-bounded via the
-            # settimeout above.
-            chunk = self._sock.recv(min(1 << 20, n - got))  # repro-lint: ignore[CON003] lock serializes the round trip; deadline-bounded via settimeout
-            if not chunk:
-                if got == 0:
-                    raise PeerGone(
-                        f"worker {format_address(self.address)} closed "
-                        f"the connection before {what}"
-                    )
-                raise PeerGone(
-                    f"worker {format_address(self.address)} closed "
-                    f"mid-{what}: got {got} of {n} bytes"
-                )
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
-
     def _recv_reply_locked(self, seq, deadline):
         """Receive frames until one echoes *seq*; discard stale replies.
 
@@ -149,18 +115,12 @@ class WorkerClient:
         is dropped here, never returned as the current answer.
         """
         while True:
-            header = self._recv_exact_locked(
-                HEADER_BYTES, deadline, "reply header"
-            )
-            body = self._recv_exact_locked(
-                decode_header(header), deadline, "reply body"
-            )
-            try:
-                reply = pickle.loads(body)
-            except Exception as exc:
-                raise WireProtocolError(
-                    f"undecodable reply frame: {exc}"
-                ) from exc
+            # This suppression and its twin on sendall in request() are
+            # one deliberate design: _lock exists precisely to serialize
+            # the whole send->recv round trip — the seq-echo protocol
+            # assumes one in-flight request per connection — and every
+            # read re-arms the socket timeout from the deadline.
+            reply = recv_frame(self._sock, deadline=deadline)  # repro-lint: ignore[CON003] lock serializes the round trip; deadline-bounded
             if not isinstance(reply, tuple) or len(reply) != 3:
                 raise WireProtocolError(
                     f"malformed reply {type(reply).__name__} "
@@ -200,7 +160,7 @@ class WorkerClient:
                     )
                 else:
                     self._sock.settimeout(None)
-                # same deliberate round-trip design as _recv_exact_locked
+                # same deliberate round-trip design as _recv_reply_locked
                 self._sock.sendall(frame)  # repro-lint: ignore[CON003] lock serializes the round trip; deadline-bounded via settimeout
                 kind, result = self._recv_reply_locked(seq, deadline)
             except (PeerGone, WireProtocolError, OSError) as exc:
@@ -221,15 +181,21 @@ class WorkerClient:
         return result
 
     def close(self) -> None:
-        """Close the channel; idempotent."""
+        """Close the channel; idempotent.
+
+        The socket is shut down before it is closed, so the worker sees
+        EOF even while a forked sibling still holds a duplicate of this
+        end.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             try:
-                self._sock.close()
+                self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass
+                pass  # the peer is already gone
+            self._sock.close()
 
     def __repr__(self):
         return (

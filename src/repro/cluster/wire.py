@@ -1,8 +1,11 @@
-"""Length-prefixed, versioned TCP framing for the cluster layer.
+"""Length-prefixed, versioned stream framing for the replica protocol.
 
-The fork+pipe :class:`~repro.serve.ProcessReplica` protocol rides on
-``multiprocessing.Connection``, which frames and pickles for free.  A
-TCP socket gives neither, so this module supplies the missing layer:
+Every replica that runs outside the calling process speaks this one
+protocol: a :class:`~repro.serve.ProcessReplica` over one end of a
+``socket.socketpair()`` to its forked worker, and a
+:class:`~repro.cluster.RemoteReplica` over TCP to a
+:mod:`repro.cluster.worker` host.  A stream socket gives neither
+message boundaries nor object encoding, so this module supplies them:
 every message travels as one **frame** —
 
 ::
@@ -33,18 +36,18 @@ matching):
 * ``TimeoutError`` — a deadline passed while waiting for bytes; the
   caller decides whether the connection survives (the sequence-id
   protocol in :mod:`~repro.cluster.transport` lets a later request
-  discard the late reply, exactly like the pipe protocol).
+  discard the late reply).
 
-Pickle is the payload encoding — the same choice the pipe protocol
-makes — because both ends are this codebase by construction.  The
-worker port must only be reachable by trusted hosts; see
-``docs/CLUSTER.md`` for the deployment note.
+Pickle is the payload encoding because both ends are this codebase by
+construction.  The worker port must only be reachable by trusted
+hosts; see ``docs/CLUSTER.md`` for the deployment note.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+import time
 
 #: frame magic: rejects non-cluster peers before unpickling
 MAGIC = b"RPW\x01"
@@ -101,42 +104,51 @@ def decode_header(header: bytes) -> int:
     return length
 
 
-def recv_exact(sock, n: int, *, what="frame") -> bytes:
-    """Read exactly *n* bytes from *sock* (honouring its timeout).
+def recv_exact(sock, n: int, *, deadline=None, what="frame"):
+    """Read exactly *n* bytes from *sock* into one preallocated buffer.
 
+    With *deadline* (a ``time.perf_counter()`` instant) the socket
+    timeout is re-armed from it before every read, so the budget bounds
+    the whole exchange, not each read, and ``TimeoutError`` is raised
+    once it passes; without one the socket's own timeout governs.
     Raises :class:`PeerGone` when the connection closes first — with a
     message distinguishing a clean close at a message boundary (zero
     bytes read) from a truncated frame (some bytes read).
-    ``socket.timeout`` propagates as ``TimeoutError`` (they are the
-    same class since Python 3.10; on 3.9 ``socket.timeout`` subclasses
-    ``OSError``, so callers catching ``OSError`` still see it).
     """
-    chunks = []
+    buf = bytearray(n)
+    view = memoryview(buf)
     got = 0
     while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
+        if deadline is not None:
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                raise TimeoutError(
+                    f"peer did not send the {what} before the deadline"
+                )
+            sock.settimeout(remaining)
+        read = sock.recv_into(view[got:])
+        if not read:
             if got == 0:
                 raise PeerGone(f"peer closed the connection before {what}")
             raise PeerGone(
                 f"peer closed mid-{what}: got {got} of {n} bytes"
             )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += read
+    return buf
 
 
-def recv_frame(sock):
+def recv_frame(sock, *, deadline=None):
     """Receive and decode one frame from *sock*.
 
-    The socket's own timeout governs blocking; set it with
-    ``sock.settimeout`` before calling.  Raises
+    *deadline* bounds the whole frame as in :func:`recv_exact`; without
+    one the socket's own timeout governs blocking.  Raises
     :class:`WireProtocolError` / :class:`PeerGone` as described in the
     module docstring.
     """
-    header = recv_exact(sock, HEADER_BYTES, what="frame header")
+    header = recv_exact(sock, HEADER_BYTES, deadline=deadline,
+                        what="frame header")
     length = decode_header(header)
-    body = recv_exact(sock, length, what="frame body")
+    body = recv_exact(sock, length, deadline=deadline, what="frame body")
     try:
         return pickle.loads(body)
     except Exception as exc:

@@ -1,17 +1,25 @@
 """Cluster worker: N local replicas behind one socket acceptor.
 
 ``python -m repro.cluster.worker --listen host:port ...`` builds a
-normal :class:`~repro.serve.ReplicaPool` (thread or fork+pipe process
+normal :class:`~repro.serve.ReplicaPool` (thread or forked process
 replicas, optionally with :class:`~repro.cluster.SharedWeightStore`
 weights so the host maps one weight set) and serves it over the
-:mod:`repro.cluster.wire` protocol.  Each accepted connection gets a
-handler thread that speaks hello-first, then answers ``(op, seq,
-payload)`` requests sequentially — one connection is one serialized
-channel, which is exactly what a parent-side
-:class:`~repro.cluster.RemoteReplica` expects.  Parallelism comes from
-*multiple* connections: :func:`~repro.cluster.connect_worker` opens one
-per advertised replica slot, and the worker's own least-outstanding
-pool spreads their concurrent batches over its local replicas.
+:mod:`repro.cluster.wire` protocol.  The TCP listener and the
+connection handler are separate halves: the listener binds only in
+:meth:`ClusterWorker.listen`, and each accepted connection gets a
+handler thread (:meth:`ClusterWorker.serve_connection`) that speaks
+hello-first, then answers ``(op, seq, payload)`` requests
+sequentially — one connection is one serialized channel, which is
+exactly what a parent-side :class:`~repro.cluster.RemoteReplica`
+expects.  Parallelism comes from *multiple* connections:
+:func:`~repro.cluster.connect_worker` opens one per advertised replica
+slot, and the worker's own least-outstanding pool spreads their
+concurrent batches over its local replicas.
+
+The handler half also runs without a listener: the fork behind every
+:class:`~repro.serve.ProcessReplica` is a one-replica
+:class:`ClusterWorker` serving one end of a ``socket.socketpair()``,
+so it never binds a port.
 
 Ops: ``run`` (one batch, optional worker-side trace capture shipped
 back with the reply), ``health`` (the worker pool's own report),
@@ -50,9 +58,11 @@ class ClusterWorker:
     """Serve a :class:`~repro.serve.ReplicaPool` over loopback/LAN TCP.
 
     Build one with :meth:`build` (registry model + pool knobs) or wrap
-    a pre-built pool.  :meth:`start` runs the acceptor in a background
-    thread (tests); :meth:`serve_forever` runs it in the calling thread
-    (the CLI).  :meth:`close` stops the acceptor, closes live
+    a pre-built pool.  Nothing binds until :meth:`listen`, which
+    :meth:`start` (acceptor in a background thread, for tests) and
+    :meth:`serve_forever` (acceptor in the calling thread, the CLI)
+    call first; :meth:`serve_connection` answers one already-connected
+    socket.  :meth:`close` stops the acceptor, closes live
     connections, and closes the pool.
     """
 
@@ -69,13 +79,11 @@ class ClusterWorker:
         self._stopping = False   # protected by _lock
         self._conns = set()      # protected by _lock
         self._accept_thread = None
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((str(host), int(port)))
-        listener.listen(64)
-        self._listener = listener
-        #: the bound ``(host, port)`` (resolved when ``port=0``)
-        self.address = listener.getsockname()[:2]
+        self._bind_to = (str(host), int(port))
+        self._listener = None
+        #: the bound ``(host, port)`` once :meth:`listen` ran (resolved
+        #: when ``port=0``); ``None`` for a handler without a listener
+        self.address = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -86,7 +94,7 @@ class ClusterWorker:
         """Build the local pool from the registry, then wrap it.
 
         The pool — including any fork for process-mode replicas — is
-        constructed *before* the acceptor socket and threads exist, so
+        constructed *before* the listener socket and threads exist, so
         children never inherit live connections.
         """
         from ..runtime import SessionConfig
@@ -151,7 +159,7 @@ class ClusterWorker:
 
     def _op_health(self, payload):
         return {
-            "address": format_address(self.address),
+            "address": self.address and format_address(self.address),
             "pid": os.getpid(),
             "replicas": len(self.pool),
             "pool": self.pool.health(),
@@ -205,10 +213,22 @@ class ClusterWorker:
     }
 
     # ------------------------------------------------------------------
-    # accept / handle
+    # listen / accept / handle
     # ------------------------------------------------------------------
+    def listen(self):
+        """Bind the TCP listener (once); returns the bound address."""
+        if self._listener is None:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(self._bind_to)
+            listener.listen(64)
+            self._listener = listener
+            self.address = listener.getsockname()[:2]
+        return self.address
+
     def start(self):
         """Run the acceptor in a daemon thread; returns the address."""
+        self.listen()
         thread = threading.Thread(
             target=self._accept_loop,
             name=f"cluster-accept-{format_address(self.address)}",
@@ -220,6 +240,7 @@ class ClusterWorker:
 
     def serve_forever(self) -> None:
         """Run the acceptor in the calling thread until :meth:`close`."""
+        self.listen()
         self._accept_loop()
 
     def _accept_loop(self):
@@ -239,9 +260,20 @@ class ClusterWorker:
             ).start()
 
     def _handle(self, conn):
-        """One connection: hello first, then sequential request frames."""
+        """One accepted TCP connection, tracked for :meth:`close`."""
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.serve_connection(conn)
+        except OSError:
+            conn.close()  # gone before the first frame
+        finally:
+            with self._lock:
+                self._conns.discard(conn)
+
+    def serve_connection(self, conn):
+        """Answer one connected stream socket until the peer hangs up:
+        hello first, then sequential request frames.  Closes *conn*."""
+        try:
             send_frame(conn, ("hello", self.hello()))
             while True:
                 try:
@@ -265,12 +297,7 @@ class ClusterWorker:
         except (PeerGone, WireProtocolError, OSError):
             pass  # reply failed: connection is gone either way
         finally:
-            with self._lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
 
     @staticmethod
     def _shippable(exc):
@@ -295,10 +322,8 @@ class ClusterWorker:
                 return
             self._stopping = True
             conns = list(self._conns)
-        try:
+        if self._listener is not None:
             self._listener.close()
-        except OSError:
-            pass
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -322,7 +347,7 @@ class ClusterWorker:
 
     def __repr__(self):
         return (
-            f"ClusterWorker({format_address(self.address)}, "
+            f"ClusterWorker({self.address and format_address(self.address)}, "
             f"model={self.model!r}, replicas={len(self.pool)}, "
             f"mode={self.mode!r})"
         )
@@ -384,7 +409,7 @@ def main(argv=None) -> int:
         seed=args.seed, host=host, port=port,
     )
     print(
-        f"CLUSTER_WORKER_READY {format_address(worker.address)} "
+        f"CLUSTER_WORKER_READY {format_address(worker.listen())} "
         f"pid={os.getpid()} replicas={len(worker.pool)}",
         flush=True,
     )

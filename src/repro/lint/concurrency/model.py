@@ -81,6 +81,11 @@ BLOCKING_METHODS = frozenset({
     "sendall", "recv_into", "accept", "connect", "create_connection",
 })
 
+#: module-level functions that block on a socket: the
+#: :mod:`repro.cluster.wire` framing helpers wrap ``recv_into`` and
+#: ``sendall``, so a call to one under a lock is a blocking call
+BLOCKING_FUNCTIONS = frozenset({"recv_exact", "recv_frame", "send_frame"})
+
 #: ``.get`` / ``.put`` only block on real queue types; on an untyped
 #: receiver they are far more likely dict/registry accessors, so they
 #: are flagged only when the receiver type says "queue"
@@ -607,6 +612,9 @@ class _MethodWalker:
         if parts in (["time", "sleep"], ["sleep"]) and self.held:
             self.method.blocking.append(BlockingEvent(
                 name="sleep", receiver="time", **self._event_kw(call)))
+        if parts and parts[-1] in BLOCKING_FUNCTIONS and self.held:
+            self.method.blocking.append(BlockingEvent(
+                name=parts[-1], receiver="wire", **self._event_kw(call)))
         if _call_tail(call) == "Process":
             self._scan_fork(call)
         if not isinstance(call.func, ast.Attribute):
@@ -721,5 +729,6 @@ __all__ = [
     "LOCK_FACTORIES",
     "GUARD_KINDS",
     "BLOCKING_METHODS",
+    "BLOCKING_FUNCTIONS",
     "GENERIC_METHOD_NAMES",
 ]

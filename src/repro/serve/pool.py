@@ -28,16 +28,21 @@ Two execution modes:
     zero-copy, deterministic, and bit-exact with a direct
     ``InferenceSession.predict_batch``.
 ``process``
-    each replica forks a worker process hosting its sessions and serves
-    batches over a pipe.  Forked workers sidestep the GIL, so on a
-    multi-core machine N replicas genuinely scale; results remain
-    bit-exact (same numpy code, same weights).  Requires a platform
-    with ``fork`` (Linux); construct the pool *before* starting any
-    scheduler threads.
+    each replica forks a worker process hosting its sessions: a
+    one-replica :class:`~repro.cluster.ClusterWorker` on one end of a
+    ``socket.socketpair()``, driven parent-side as a
+    :class:`~repro.cluster.RemoteReplica` — the same wire protocol a
+    remote worker speaks over TCP.  Forked workers sidestep the GIL,
+    so on a multi-core machine N replicas genuinely scale; results
+    remain bit-exact (same numpy code, same weights).  Requires a
+    platform with ``fork`` (Linux); construct the pool *before*
+    starting any scheduler threads.
 """
 
 from __future__ import annotations
 
+import socket
+import sys
 import threading
 import time
 
@@ -48,28 +53,6 @@ from ..nn import Module
 from ..runtime import InferenceSession, SessionConfig, SessionStats
 from .errors import ReplicaUnavailable
 from .tiers import resolve_ladder
-
-#: pipe sentinel (in the ``tier`` slot) asking a forked worker to
-#: re-freeze its sessions after a shared-store weight swap
-_REFRESH = "__refresh__"
-
-
-def _as_tier_sessions(tier_sessions, degraded_session):
-    """Normalise the two ways of passing tier sessions into one dict."""
-    if degraded_session is not None:
-        if tier_sessions is not None:
-            raise TypeError(
-                "pass either tier_sessions= or the legacy "
-                "degraded_session= keyword, not both"
-            )
-        return {"reduced": degraded_session}
-    if tier_sessions is None:
-        return {}
-    if isinstance(tier_sessions, dict):
-        return dict(tier_sessions)
-    # a bare session is the legacy single-rung ladder
-    return {"reduced": tier_sessions}
-
 
 class Replica:
     """One managed inference session plus its degrade-tier sessions.
@@ -82,20 +65,17 @@ class Replica:
         the full-quality :class:`~repro.runtime.InferenceSession`.
     tier_sessions:
         mapping of degrade-ladder tier name to that tier's session
-        (all sharing the primary's weight set).  A bare session is
-        accepted as the legacy single-rung ``{"reduced": session}``
-        ladder, as is the ``degraded_session=`` keyword.
+        (all sharing the primary's weight set).
     unhealthy_after:
         consecutive failures before the replica is taken out of
         routing.
     """
 
     def __init__(self, name, session, tier_sessions=None,
-                 unhealthy_after=3, *, degraded_session=None):
+                 unhealthy_after=3):
         self.name = str(name)
         self.session = session
-        self.tier_sessions = _as_tier_sessions(tier_sessions,
-                                               degraded_session)
+        self.tier_sessions = dict(tier_sessions or {})
         self.unhealthy_after = int(unhealthy_after)
         self.outstanding = 0
         self.consecutive_failures = 0
@@ -108,11 +88,6 @@ class Replica:
         self.weights_version = 1
 
     # ------------------------------------------------------------------
-    @property
-    def degraded_session(self):
-        """The legacy single-rung alias: the ``reduced`` tier session."""
-        return self.tier_sessions.get("reduced")
-
     @property
     def stats(self) -> SessionStats:
         """The replica's serving statistics."""
@@ -129,13 +104,8 @@ class Replica:
             return None, self.session
         return tier, session
 
-    def run(self, samples, tier=None, degraded=False) -> np.ndarray:
-        """Execute one batch on *tier*'s session, with health accounting.
-
-        ``degraded=True`` is the legacy spelling of ``tier="reduced"``.
-        """
-        if degraded and tier is None:
-            tier = "reduced"
+    def run(self, samples, tier=None) -> np.ndarray:
+        """Execute one batch on *tier*'s session, with health accounting."""
         used, session = self._session_for(tier)
         try:
             out = session.predict_batch(samples)
@@ -201,36 +171,30 @@ class Replica:
         )
 
 
-class ProcessReplica(Replica):
+# repro.cluster builds on Replica, so it is importable only from here on
+from ..cluster.remote import RemoteReplica  # noqa: E402
+from ..cluster.shmem import SharedWeightStore  # noqa: E402
+from ..cluster.transport import WorkerClient  # noqa: E402
+
+
+class ProcessReplica(RemoteReplica):
     """A replica whose sessions live in a forked worker process.
 
-    The parent sends ``(seq, tier, samples, want_trace)`` over a
-    pipe and receives ``(seq, kind, payload, spans)`` — the output
-    batch or the worker-side exception, with the request's ``seq``
-    echoed back.  ``tier`` is the degrade-ladder tier name (or ``None``
-    for full quality); the worker holds the same tier-session mapping
-    the parent built before forking, so tier routing is decided
-    parent-side and executed child-side on identical objects.  When the
-    parent's dispatch is being traced (``want_trace``), the worker runs
-    the batch under a private :class:`repro.trace.Tracer` and ships the
-    collected spans back as the fourth element; the parent re-parents
-    them under its ambient ``dispatch`` span with :meth:`Tracer.ingest`
-    (``perf_counter`` is ``CLOCK_MONOTONIC`` on Linux, so timestamps
-    line up across the fork).  The echo is what keeps the pipe
-    usable after a timeout: when ``timeout_s`` expires the worker's
-    late reply stays buffered in the pipe, and the *next* ``run`` must
-    discard it by sequence id — not mistake it for its own answer and
-    hand the previous batch's outputs to the wrong callers.  Statistics
-    are recorded parent-side (batch size + round-trip latency, i.e. the
-    latency the serving layer actually delivers).  A dead or wedged
-    worker surfaces as an ``EOFError``/``OSError``/``TimeoutError``
-    dispatch failure and health tracking takes the replica out of
-    routing.
+    The fork serves a one-replica :class:`~repro.cluster.ClusterWorker`
+    on one end of a ``socket.socketpair()``; this parent side is a
+    :class:`~repro.cluster.RemoteReplica` whose
+    :class:`~repro.cluster.WorkerClient` adopts the other end, so a
+    process replica speaks the cluster wire protocol — hello, sequence
+    echo with stale-reply discard after a ``timeout_s`` expiry, typed
+    worker-side errors, trace spans shipped back and re-parented under
+    the dispatch span, parent-side statistics and health accounting.
+    The child keeps no health of its own (routing is the parent's
+    call) and never binds a port.  A dead worker surfaces as a
+    :class:`~repro.cluster.PeerGone` / ``OSError`` dispatch failure.
     """
 
     def __init__(self, name, session, tier_sessions=None,
-                 unhealthy_after=3, timeout_s=None, *,
-                 degraded_session=None):
+                 unhealthy_after=3, timeout_s=None):
         import multiprocessing as mp
 
         if "fork" not in mp.get_all_start_methods():
@@ -238,192 +202,35 @@ class ProcessReplica(Replica):
                 "process-mode replicas need a fork platform (Linux); "
                 "use mode='thread' here"
             )
-        super().__init__(name, session, tier_sessions,
-                         unhealthy_after=unhealthy_after,
-                         degraded_session=degraded_session)
-        self._stats = SessionStats()
-        self._pipe_lock = threading.Lock()
-        self._seq = 0  # protected by _pipe_lock
-        self.timeout_s = timeout_s
-        ctx = mp.get_context("fork")
-        self._parent_conn, child_conn = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=self._worker_loop,
-            args=(child_conn, session, self.tier_sessions),
-            name=f"repro-serve-{self.name}",
+        ours, theirs = socket.socketpair()
+        self._proc = mp.get_context("fork").Process(
+            target=self._serve_fork,
+            args=(theirs, Replica(name, session, tier_sessions,
+                                  unhealthy_after=sys.maxsize)),
+            name=f"repro-serve-{name}",
             daemon=True,
         )
         self._proc.start()
-        child_conn.close()
+        theirs.close()
+        super().__init__(None, name=name, timeout_s=timeout_s,
+                         unhealthy_after=unhealthy_after,
+                         client=WorkerClient(ours))
 
     @staticmethod
-    def _worker_loop(conn, session, tier_sessions):
-        """Child: answer ``(seq, tier, samples, want_trace)`` until the
-        pipe closes, echoing each request's ``seq`` in its reply."""
-        from ..trace import Tracer
+    def _serve_fork(sock, replica):
+        """Child: serve *replica* on *sock* until the parent hangs up."""
+        from ..cluster.worker import ClusterWorker
 
-        while True:
-            try:
-                msg = conn.recv()
-            except EOFError:
-                return
-            if msg is None:
-                return
-            seq, tier, samples, want_trace = msg
-            if tier == _REFRESH:
-                # shared-store swap: floats updated in place through the
-                # inherited mapping; re-freeze so quantized tier plans
-                # re-derive their integer weights from the new arrays
-                try:
-                    session.refresh()
-                    for extra in tier_sessions.values():
-                        extra.refresh()
-                    conn.send((seq, "ok", None, None))
-                except Exception as exc:
-                    conn.send((seq, "err", exc, None))
-                continue
-            use = tier_sessions.get(tier, session) if tier else session
-            try:
-                if want_trace:
-                    tracer = Tracer(capacity=8192)
-                    with tracer.activate():
-                        out = use.predict_batch(samples)
-                    conn.send((seq, "ok", out, tracer.spans()))
-                else:
-                    conn.send((seq, "ok", use.predict_batch(samples), None))
-            except Exception as exc:  # ship the failure to the parent
-                conn.send((seq, "err", exc, None))
-
-    @property
-    def stats(self) -> SessionStats:
-        """Parent-side statistics (round-trip serving latency)."""
-        return self._stats
-
-    def run(self, samples, tier=None, degraded=False) -> np.ndarray:
-        """Round-trip one batch through the worker process.
-
-        Replies are matched to this request by sequence id; buffered
-        replies to earlier timed-out requests are discarded, never
-        returned as this batch's answer.
-        """
-        from ..trace import current_tracer
-
-        if degraded and tier is None:
-            tier = "reduced"
-        used = tier if tier in self.tier_sessions else None
-        samples = np.asarray(samples)
-        tracer = current_tracer()
-        start = time.perf_counter()
-        try:
-            with self._pipe_lock:
-                self._seq += 1
-                seq = self._seq
-                # The next three suppressions are one deliberate design:
-                # _pipe_lock exists precisely to serialize the whole
-                # send->recv round-trip (the seq-echo protocol assumes
-                # one in-flight request), and every blocking call under
-                # it is bounded by timeout_s.
-                self._parent_conn.send(  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                    (seq, used, samples, tracer is not None)
-                )
-                deadline = (
-                    None if self.timeout_s is None
-                    else time.perf_counter() + self.timeout_s
-                )
-                while True:
-                    if deadline is not None:
-                        remaining = deadline - time.perf_counter()
-                        if remaining <= 0 or not self._parent_conn.poll(  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                            remaining
-                        ):
-                            raise TimeoutError(
-                                f"replica {self.name} did not answer "
-                                f"within {self.timeout_s}s"
-                            )
-                    reply_seq, kind, payload, spans = self._parent_conn.recv()  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                    if reply_seq == seq:
-                        break
-                    # stale reply to a request that already timed out
-            if kind == "err":
-                raise payload
-            if tracer is not None and spans:
-                # worker spans attach under the ambient dispatch span
-                tracer.ingest(spans)
-        except Exception:
-            self.consecutive_failures += 1
-            if self.consecutive_failures >= self.unhealthy_after:
-                self.healthy = False
-            raise
-        self.consecutive_failures = 0
-        self.dispatches += 1
-        if used is not None:
-            self.degraded_dispatches += 1
-            self.dispatches_by_tier[used] += 1
-        self._stats.record(samples.shape[0], time.perf_counter() - start)
-        return payload
-
-    def load_weights(self, state) -> None:
-        """Fork+pipe replicas have no weight channel to the child's
-        private copies — only a shared store can move them (and then a
-        swap is an in-place store write, not a state load)."""
-        raise RuntimeError(
-            f"replica {self.name} runs in a forked worker with private "
-            "weight copies; build the pool with shared_weights=True to "
-            "hot-swap process-mode replicas"
-        )
-
-    def refresh(self) -> None:
-        """Re-freeze the *child's* forked sessions, then the parent's.
-
-        The worker process holds its own forked session objects; the
-        primary (and any float tier) serves straight out of the shared
-        mapping, but quantized tier plans carry privately derived
-        integer weights that must be re-derived child-side after a
-        store swap.  The sentinel round-trips under the same
-        one-in-flight pipe discipline as :meth:`run`.
-        """
-        with self._pipe_lock:
-            self._seq += 1
-            seq = self._seq
-            self._parent_conn.send(  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                (seq, _REFRESH, None, False)
-            )
-            deadline = (
-                None if self.timeout_s is None
-                else time.perf_counter() + self.timeout_s
-            )
-            while True:
-                if deadline is not None:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or not self._parent_conn.poll(  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                        remaining
-                    ):
-                        raise TimeoutError(
-                            f"replica {self.name} did not refresh "
-                            f"within {self.timeout_s}s"
-                        )
-                reply_seq, kind, payload, _spans = self._parent_conn.recv()  # repro-lint: ignore[CON003] lock serializes the round-trip; timeout-bounded
-                if reply_seq == seq:
-                    break
-                # stale reply to a request that already timed out
-        if kind == "err":
-            raise payload
-        super().refresh()
+        ClusterWorker(ReplicaPool([replica]),
+                      mode="process").serve_connection(sock)
 
     def close(self) -> None:
-        """Stop the worker process and join it."""
-        try:
-            with self._pipe_lock:
-                # under the same round-trip discipline as run(): the
-                # sentinel must not interleave with an in-flight request
-                self._parent_conn.send(None)  # repro-lint: ignore[CON003] lock serializes shutdown against in-flight run()
-        except (OSError, ValueError):
-            pass  # worker already gone; join below still reaps it
+        """Hang up on the worker process, then reap it."""
+        super().close()
         self._proc.join(timeout=5)
         if self._proc.is_alive():
             self._proc.terminate()
             self._proc.join(timeout=5)
-        self._parent_conn.close()
 
 
 class ReplicaPool:
@@ -457,7 +264,7 @@ class ReplicaPool:
     @classmethod
     def build(cls, model="ode_botnet", profile="tiny", n_replicas=2, *,
               config=None, backends=None, seed=0, pretrained_state=None,
-              tiers=None, degraded=False, mode="thread", unhealthy_after=3,
+              tiers=None, mode="thread", unhealthy_after=3,
               instrument=False, shared_weights=False):
         """Build *n_replicas* identical-weight replicas from the registry.
 
@@ -484,8 +291,6 @@ class ReplicaPool:
             tier session is built from the shared ``state`` dict, so
             quantized tiers derive their integer weights from the same
             weight generation the primary serves.
-        degraded:
-            legacy single-rung spelling of ``tiers=("reduced",)``.
         mode:
             ``"thread"`` or ``"process"`` (see the module docstring).
         shared_weights:
@@ -516,20 +321,13 @@ class ReplicaPool:
         if backends is None or isinstance(backends, str):
             backends = [backends if backends is not None
                         else config.backend] * n_replicas
-        ladder = ()
-        if tiers is not None:
-            ladder = resolve_ladder(tiers)
-        elif degraded:
-            ladder = resolve_ladder(("reduced",))
+        ladder = () if tiers is None else resolve_ladder(tiers)
         reference = build_model(model, profile=profile, seed=seed,
                                 pretrained_state=pretrained_state,
                                 inference=True)
         state = reference.state_dict()
         store = None
         if shared_weights:
-            # lazy import: repro.cluster sits on top of repro.serve
-            from ..cluster.shmem import SharedWeightStore
-
             store = SharedWeightStore.create(state)
         replicas = []
         for i in range(int(n_replicas)):
@@ -555,7 +353,7 @@ class ReplicaPool:
             }
             kind = Replica if mode == "thread" else ProcessReplica
             replicas.append(
-                kind(f"replica-{i}", session, tier_sessions or None,
+                kind(f"replica-{i}", session, tier_sessions,
                      unhealthy_after=unhealthy_after)
             )
         pool = cls(replicas)

@@ -4,9 +4,9 @@ The observability layer under the serving stack: a thread-safe
 :class:`Tracer` records nestable, monotonic-clock spans into a bounded
 ring buffer; per-request trace ids propagate from
 ``serve.Server.submit`` through scheduler batches, replica dispatch
-(process replicas ship worker-side spans back over their pipe),
-``InferenceSession.predict``, the ODE solver step loop and every
-``repro.kernels`` dispatch.  Exporters turn the spans into Chrome
+(process and remote replicas ship worker-side spans back with each
+reply), ``InferenceSession.predict``, the ODE solver step loop and
+every ``repro.kernels`` dispatch.  Exporters turn the spans into Chrome
 trace / Perfetto JSON, a text flame summary and per-stage latency
 tables; :func:`tail_attribution` decomposes the latency tail by stage.
 

@@ -26,8 +26,8 @@ Span nesting is per-thread: ``tracer.span(...)`` pushes onto a
 thread-local stack and records the previous top as its parent, so the
 serving chain batch → dispatch → session → solver.step → kernel links
 up naturally on the executor thread that runs it.  Cross-process spans
-(forked replicas) come back over the pipe and are re-parented with
-:meth:`Tracer.ingest`.
+(forked or remote replicas) come back with the ``run`` reply and are
+re-parented with :meth:`Tracer.ingest`.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class Span:
             "attrs": dict(self.attrs),
         }
 
-    # pickling support for the ProcessReplica pipe (slots-only class)
+    # pickling support for the replica wire protocol (slots-only class)
     def __getstate__(self):
         return (self.span_id, self.parent_id, self.name, self.t0,
                 self.dur, self.thread, self.trace_ids, self.attrs)
@@ -182,7 +182,7 @@ class _ActivateCtx:
 
     Used by forked replica workers: the worker activates its private
     tracer around ``predict_batch`` so the session/solver/kernel seams
-    trace into it, then ships the collected spans back over the pipe.
+    trace into it, then ships the collected spans back with the reply.
     """
 
     __slots__ = ("_tracer", "_prev_tracer", "_prev_stack")

@@ -429,6 +429,24 @@ class TestCON003Sockets:
                         self._sock = socket.create_connection(address)
         """)
 
+    def test_wire_helper_under_lock_fires(self):
+        # the framing helpers wrap recv_into/sendall, so calling one
+        # under a lock blocks exactly like the raw socket call
+        assert_fires("CON003", """
+            import threading
+
+            from repro.cluster.wire import recv_frame
+
+            class Client:
+                def __init__(self, sock):
+                    self._lock = threading.Lock()
+                    self._sock = sock
+
+                def read(self):
+                    with self._lock:
+                        return recv_frame(self._sock)
+        """)
+
     def test_socket_constructors_typed(self):
         # both constructors hand back the blocking-capable receiver type
         src = SourceFile("<s>", textwrap.dedent(SOCKET_BAD),
@@ -558,20 +576,21 @@ class TestCleanTree:
         assert not _find_cycles(package_lock_graph())
 
     def test_sanctioned_con003_suppressions_exist(self):
-        # ProcessReplica serializes its pipe round-trips (run, the
-        # refresh sentinel, and close's shutdown) under _pipe_lock on
-        # purpose; the suppressions documenting that must stay
+        # ProcessReplica's round trips run through its WorkerClient,
+        # which serializes them (pinned below), so the pool module
+        # needs no CON003 suppression at all
         import repro.serve.pool as pool
 
         src = SourceFile(pool.__file__, open(pool.__file__).read())
         con003 = [ids for ids in src.suppressions.values()
                   if "CON003" in ids]
-        assert len(con003) == 7
+        assert len(con003) == 0
 
     def test_sanctioned_transport_suppressions_exist(self):
         # WorkerClient serializes its socket round-trip under _lock on
-        # purpose (mirrors ProcessReplica's pipe); exactly the sendall
-        # and recv suppressions documenting that must stay
+        # purpose (every replica outside the process speaks through
+        # it); exactly the sendall and recv_frame suppressions
+        # documenting that must stay
         import repro.cluster.transport as transport
 
         src = SourceFile(transport.__file__,
@@ -590,6 +609,8 @@ class TestCleanTree:
             assert name in model.classes, name
         assert model.guard_nodes("Scheduler") == ("Scheduler._lock",)
         assert model.guard_nodes("WorkerClient") == ("WorkerClient._lock",)
+        # a process replica's only lock is its WorkerClient's
+        assert model.guard_nodes("ProcessReplica") == ()
         # the adaptation tap and publisher each own exactly one lock,
         # held only around their own state (the lock graph gains no
         # edges from the adapt/ subtree)

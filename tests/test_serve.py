@@ -14,6 +14,8 @@ Fast paths use stub sessions (instant callables wrapped in
 ``InferenceSession``); bit-exactness uses the real tiny proposed model.
 """
 
+import os
+import signal
 import threading
 import time
 
@@ -207,11 +209,11 @@ class TestReplicaPool:
 
     def test_degraded_session_reuses_weights(self):
         pool = ReplicaPool.build("ode_botnet", "tiny", 1, seed=0,
-                                 degraded=True)
+                                 tiers=("reduced",))
         replica = pool.replicas[0]
         x = _samples(2, shape=(3, 32, 32))
         full = replica.run(x)
-        degraded = replica.run(x, degraded=True)
+        degraded = replica.run(x, tier="reduced")
         reference = InferenceSession(
             build_model("ode_botnet", profile=reduced_profile("tiny"),
                         seed=0, inference=True)
@@ -274,6 +276,42 @@ class TestReplicaPool:
         finally:
             pool.close()
         assert not pool.replicas[0]._proc.is_alive()
+
+    def test_killed_fork_fails_typed_and_leaves_routing(self):
+        # the local half of the "killed worker" fault: SIGKILL one
+        # replica's worker process mid-service
+        pool = ReplicaPool.build("ode_botnet", "tiny", 2, seed=0,
+                                 mode="process", unhealthy_after=2)
+        x = _samples(2, shape=(3, 32, 32))
+        direct = InferenceSession(
+            build_model("ode_botnet", profile="tiny", seed=0,
+                        inference=True)
+        ).predict_batch(x)
+        victim, survivor = pool.replicas
+        timeout_s = 10.0
+        for replica in pool:
+            replica.timeout_s = timeout_s
+        try:
+            assert np.array_equal(victim.run(x), direct)
+            os.kill(victim._proc.pid, signal.SIGKILL)
+            for _ in range(victim.unhealthy_after):
+                start = time.monotonic()
+                with pytest.raises(OSError):  # PeerGone is an OSError
+                    victim.run(x)
+                assert time.monotonic() - start < timeout_s
+            assert not victim.healthy
+            for _ in range(3):
+                leased = pool.acquire()
+                pool.release(leased)
+                assert leased is survivor
+            assert np.array_equal(survivor.run(x), direct)
+        finally:
+            start = time.monotonic()
+            pool.close()
+            closed_in = time.monotonic() - start
+        assert closed_in < 5.0, f"close blocked for {closed_in:.1f} s"
+        assert victim._proc.exitcode == -signal.SIGKILL
+        assert survivor._proc.exitcode == 0  # left on EOF, not terminated
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +396,7 @@ class TestServer:
 
     def test_degrade_policy_serves_overflow_degraded(self):
         full = Replica("r0", _echo_session(scale=1.0, delay_s=0.05),
-                       degraded_session=_echo_session(scale=-1.0))
+                       tier_sessions={"reduced": _echo_session(scale=-1.0)})
         pool = ReplicaPool([full])
         with Server(pool, max_batch_size=1, max_wait_ms=0.1,
                     queue_capacity=1, shed_policy="degrade",
@@ -645,11 +683,10 @@ class TestTierLadder:
         assert full.run(x, tier="int8")[0, 0] == 4.0
         # unknown tier falls back to the full session, counted as full
         assert full.run(x, tier="int4")[0, 0] == 2.0
-        assert full.run(x, degraded=True)[0, 0] == -2.0  # legacy kwarg
         health = full.health()
-        assert health["dispatches"] == 5
-        assert health["degraded_dispatches"] == 3
-        assert health["dispatches_by_tier"] == {"reduced": 2, "int8": 1}
+        assert health["dispatches"] == 4
+        assert health["degraded_dispatches"] == 2
+        assert health["dispatches_by_tier"] == {"reduced": 1, "int8": 1}
         assert list(health["tiers"]) == ["reduced", "int8"]
         assert health["weights_version"] == 1
         full.refresh()
