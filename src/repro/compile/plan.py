@@ -30,6 +30,7 @@ breakdowns and ``kernel.*`` trace spans keep working under the
 
 from __future__ import annotations
 
+import functools
 import threading
 from types import SimpleNamespace
 
@@ -536,52 +537,12 @@ class _BoundPlan:
                 stages.append(("batchnorm2d", fn, False))
             elif op == "maxpool":
                 ksize, kstride, kpad = ir
-                kh, kw = ksize
-                sh_, sw_ = kstride if kstride is not None else ksize
-                ph_, pw_ = kpad
-                oh_, ow_ = shapes.conv_out_size(
-                    h, w, kh, kw, sh_, sw_, ph_, pw_
-                )
-                # Pool as kh*kw shifted-slice maximum passes over a
-                # persistent canvas — much cheaper than a strided-view
-                # reduce.  The pad border is written once at bind time
-                # with the fused backend's pad value (-inf for floats).
-                if ph_ or pw_:
-                    canvas = arena.buffer(
-                        f"{name}.canvas",
-                        (n, c, h + 2 * ph_, w + 2 * pw_),
-                        dtype=cur_dtype,
-                    )
-                    canvas.fill(shapes.pool_pad_value(canvas.dtype))
-                else:
-                    canvas = None
-                outbuf = arena.buffer(f"{name}.out", (n, c, oh_, ow_),
-                                      dtype=cur_dtype)
-                offs = tuple((i, j) for i in range(kh) for j in range(kw))
-
-                def fn(x, *, _o=offs, _si=sh_, _sj=sw_, _oh=oh_,
-                       _ow=ow_, _canvas=canvas, _ph=ph_, _pw=pw_,
-                       _out=outbuf):
-                    if _canvas is not None:
-                        steps.fill_canvas(_canvas, x, _ph, _pw)
-                        x = _canvas
-                    i0, j0 = _o[0]
-                    np.copyto(
-                        _out,
-                        x[:, :, i0 : i0 + _si * _oh : _si,
-                          j0 : j0 + _sj * _ow : _sj],
-                    )
-                    for i, j in _o[1:]:
-                        np.maximum(
-                            _out,
-                            x[:, :, i : i + _si * _oh : _si,
-                              j : j + _sj * _ow : _sj],
-                            out=_out,
-                        )
-                    return _out
-
-                stages.append(("maxpool2d", fn, False))
-                h, w = oh_, ow_
+                stages.append(("maxpool2d", functools.partial(
+                    impl.maxpool2d, kernel_size=ksize, stride=kstride,
+                    padding=kpad,
+                ), False))
+                sh, sw = kstride if kstride is not None else ksize
+                h, w = shapes.conv_out_size(h, w, *ksize, sh, sw, *kpad)
             elif op == "ode":
                 ts, h_step = ir.time_grid()
                 binder = (

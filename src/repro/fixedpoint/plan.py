@@ -20,11 +20,35 @@ changing a single output bit**:
   the same formula the lint overflow checker certifies) picks float32
   (≤ 24 bits), float64 (≤ 52 bits) or the exact int64 fallback, so no
   per-call bound scans run on the hot path.
+* **Reorder exactness.**  Every float site sums integer multiples of
+  ``2^-pfrac`` and ``accumulator_bits`` bounds each sum inside the
+  mantissa, so every partial sum is exact and any summation order —
+  BLAS blocking, the banded depthwise kernel, a plane added after the
+  GEMM — gives the same bits.
+* **Folded time channel.**  A time conv's ``t`` channel is a constant
+  plane, so its contribution is an input-independent (F, H, W) plane
+  per Euler step, precomputed per spatial shape; the depthwise pass
+  then covers C channels and the pointwise GEMM adds the plane (see
+  :meth:`QuantizedPlan._pack_time_conv`).
+* **Allocation-free Euler steps.**  An ODE block allocates its step
+  buffers once per call; every step pass writes through ``out=``.
+  Batch norm followed by ReLU ends in one ``clip(0, fmax)`` (exact:
+  ``fmin <= 0 <= fmax``), and the Euler update drops the clip after
+  ``rint(f·h)`` when ``0 <= h <= 1`` (see :meth:`QuantizedPlan._pack_euler`).
+  Sites whose accumulator exceeds the float64 mantissa keep their exact
+  int64 path, and a time conv with such a site keeps the concatenated
+  time channel.
 
 Attention reuses the executor's :class:`QuantizedMHSA2d` (identical
 arithmetic, shared quantized weight set); the plan runs under the
 ``quantized`` kernel backend so the MHSA's integer matmuls get the
 data-driven exact-BLAS rerouting.
+
+Under ``kernels.collect`` the conv, batch-norm, pool and Euler-add
+steps are timed through ``kernels.record_dispatch`` (as ``conv2d`` —
+one per conv site, a whole time conv counting once — ``batchnorm2d``,
+``maxpool2d`` and ``add``); an untraced forward checks the collector
+stack once and pays nothing else.
 
 Bit-identity to ``QuantizedODENetExecutor.run`` is pinned per registry
 model and per Q-format profile by ``tests/test_kernels.py``; the ≥5×
@@ -36,6 +60,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
+from ..compile.steps import pointwise_affine
+from ..kernels import banded
 from ..models.odenet import Downsample, ODENet
 from ..nn import DepthwiseSeparableConv2d
 from ..ode import ConvODEFunc, MHSABottleneckODEFunc
@@ -60,6 +86,21 @@ from .quantized_model import QuantizedODENetExecutor
 #: widest feature/param format the float-domain carry holds exactly
 #: (with headroom for the global-sum reduction in the average pool)
 _MAX_PLAN_FORMAT_BITS = 40
+
+
+def _call(traced, name, fn, *args):
+    """``fn(*args)``, timed under kernel *name* by the active collectors
+    when *traced* (decided once per forward)."""
+    if traced:
+        return kernels.record_dispatch(name, fn, args, {})
+    return fn(*args)
+
+
+def _float_work(buf):
+    """*buf* itself if it is float64, else a float64 scratch of its shape
+    (a batch norm must compute in float64 before writing a float32 site
+    input)."""
+    return buf if buf.dtype == np.float64 else np.empty(buf.shape)
 
 
 class QuantizedPlan:
@@ -144,6 +185,16 @@ class QuantizedPlan:
         b = self.pfmt.quantize(conv.bias.data) if conv.bias is not None else None
         return w, b
 
+    def _fold(self, w_int, b_int, dt):
+        """Scale-fold a site's integer weight (``2^-pfrac``) and bias
+        (``2^(ffrac-pfrac)``, flat) into float dtype *dt*."""
+        pfrac = self.pfmt.frac_bits
+        wf = (w_int.astype(np.float64) * 2.0 ** -pfrac).astype(dt)
+        if b_int is None:
+            return wf, None
+        bf = b_int.astype(np.float64) * 2.0 ** (self.ffmt.frac_bits - pfrac)
+        return wf, bf.astype(dt)
+
     def _pack_conv(self, conv, executor):
         ffmt, pfmt = self.ffmt, self.pfmt
         fmin, fmax = float(ffmt.raw_min), float(ffmt.raw_max)
@@ -167,13 +218,9 @@ class QuantizedPlan:
 
             return run
 
-        wf = (w_int.astype(np.float64) * 2.0 ** -pfmt.frac_bits).astype(dt)
-        bf = None
-        if b_int is not None:
-            bf = (
-                b_int.astype(np.float64)
-                * 2.0 ** (ffmt.frac_bits - pfmt.frac_bits)
-            ).astype(dt).reshape(1, -1, 1, 1)
+        wf, bf = self._fold(w_int, b_int, dt)
+        if bf is not None:
+            bf = bf.reshape(1, -1, 1, 1)
         backend = self._kb
 
         def run(c):
@@ -188,7 +235,15 @@ class QuantizedPlan:
 
         return run
 
-    def _pack_bn(self, bn, executor):
+    def _pack_bn_relu(self, bn, executor):
+        """Batch norm then ReLU as ``run(src, dst=None, work=None)``.
+
+        The ReLU is the BN's final saturation narrowed to
+        ``clip(0, fmax)``: ``max(0, clip(v, fmin, fmax)) ==
+        clip(v, 0, fmax)`` because ``fmin <= 0 <= fmax``.  The float
+        path computes in *work* (float64; allocated when omitted) and
+        writes the result to *dst* (*work* itself when omitted).
+        """
         ffmt, pfmt = self.ffmt, self.pfmt
         fmin, fmax = float(ffmt.raw_min), float(ffmt.raw_max)
         if executor is not None:
@@ -196,45 +251,151 @@ class QuantizedPlan:
         else:
             s_int, t_int = fold_batchnorm(bn, pfmt)
         if self._site_dtype(1) is None:
-            def run(c):
-                out = fixed_bn_apply(c.astype(np.int64), ffmt, s_int, t_int,
-                                     pfmt, ffmt)
-                return out.astype(np.float64)
+            def run(src, dst=None, work=None):
+                out = fixed_bn_apply(src.astype(np.int64), ffmt, s_int,
+                                     t_int, pfmt, ffmt)
+                np.maximum(out, 0, out=out)
+                if dst is None:
+                    return out.astype(np.float64)
+                np.copyto(dst, out)
+                return dst
 
             return run
 
         sf = (s_int.astype(np.float64) * 2.0 ** -pfmt.frac_bits).reshape(1, -1, 1, 1)
         tf = requantize(t_int, pfmt, ffmt).astype(np.float64).reshape(1, -1, 1, 1)
 
-        def run(c):
-            acc = c * sf
+        def run(src, dst=None, work=None):
+            acc = np.multiply(src, sf, out=work)
             np.rint(acc, out=acc)
             np.clip(acc, fmin, fmax, out=acc)
-            acc += tf
-            np.clip(acc, fmin, fmax, out=acc)
-            return acc
+            np.add(acc, tf, out=acc)
+            return np.clip(acc, 0.0, fmax, out=acc if dst is None else dst)
 
         return run
 
-    def _pack_time_conv(self, layer, executor):
-        """TimeConcatConv2d / TimeConcatDSC2d: append the quantized t
-        plane, then the (depthwise, pointwise) or plain conv chain."""
+    def _pack_time_conv(self, layer, executor, t_raws):
+        """A TimeConcatConv2d / TimeConcatDSC2d as ``bind(n, h, w) ->
+        (x, step)``: the caller writes the conv's input into the buffer
+        ``x``, then ``step(i)`` returns the conv's output at Euler step
+        ``i``.  ``bind`` runs once per block call and allocates that
+        call's buffers, so concurrent calls share nothing mutable.
+
+        When every site of the conv is a float site, the time channel is
+        folded away.  By linearity, the conv of ``[x; t_raw·1]`` is the
+        conv of ``x`` over its C channels plus an input-independent
+        (F, H', W') plane per step.  For a depthwise-separable conv the
+        plane is the pointwise time column times the depthwise output of
+        the constant ``t_raw`` plane (after its rint and clip), plus the
+        pointwise bias; for a dense conv it is the time column's conv of
+        that plane (for a 1×1 conv: the column times ``t_raw``), plus the
+        bias.  Every term is an integer multiple of ``2^-pfrac`` and the
+        site's ``accumulator_bits`` bound keeps every partial sum inside
+        the mantissa, so adding the plane after the GEMM instead of
+        inside it gives the same bits.  The planes and the banded
+        depthwise diagonals are cached per spatial shape; a
+        :meth:`refresh` re-packs, and so rebuilds them.  The conv runs
+        in the widest of its sites' dtypes, which is exact for all.
+
+        A conv with an exact-int64 site, or a depthwise half that is not
+        stride-1 and same-padded, keeps the concatenated time channel and
+        the per-site closures of :meth:`_pack_conv`.
+        """
         inner = layer.conv
         if isinstance(inner, DepthwiseSeparableConv2d):
-            convs = (self._pack_conv(inner.depthwise, executor),
-                     self._pack_conv(inner.pointwise, executor))
+            dw, main = inner.depthwise, inner.pointwise
         else:
-            convs = (self._pack_conv(inner, executor),)
+            dw, main = None, inner
+        ffmt = self.ffmt
+        fmin, fmax = float(ffmt.raw_min), float(ffmt.raw_max)
+        sites = [self._conv_weights(conv, executor)
+                 for conv in (dw, main) if conv is not None]
+        dts = [self._site_dtype(w.shape[1] * w.shape[2] * w.shape[3]
+                                + (b is not None)) for w, b in sites]
+        c = sites[0][0].shape[1 if dw is None else 0] - 1
+        if dw is not None:
+            dw_stride, dw_padding = tuple(dw.stride), tuple(dw.padding)
+        if None in dts or (dw is not None and not banded.is_banded(
+                dw_stride, dw_padding, *dw.weight.shape[2:])):
+            convs = tuple(self._pack_conv(conv, executor)
+                          for conv in (dw, main) if conv is not None)
 
-        def run(c, t_raw):
-            n, _, h, w = c.shape
-            tt = np.full((n, 1, h, w), t_raw, dtype=np.float64)
-            c = np.concatenate([c, tt], axis=1)
-            for conv in convs:
-                c = conv(c)
-            return c
+            def bind(n, h, w):
+                x = np.empty((n, c, h, w))
 
-        return run
+                def step(i):
+                    out = np.concatenate(
+                        [x, np.full((n, 1, h, w), t_raws[i])], axis=1)
+                    for conv in convs:
+                        out = conv(out)
+                    return out
+
+                return x, step
+
+            return bind
+
+        dt = np.float64 if np.float64 in dts else np.float32
+        w_int, b_int = sites[-1]
+        wx, _ = self._fold(w_int[:, :-1], None, dt)
+        wt, bt = self._fold(w_int[:, -1:], b_int, np.float64)
+        stride, padding = tuple(main.stride), tuple(main.padding)
+        pointwise = (wx.shape[2:], stride, padding) == ((1, 1), (1, 1), (0, 0))
+        wmat = wx.reshape(wx.shape[0], c) if pointwise else None
+        if dw is not None:
+            # nn.DepthwiseSeparableConv2d's depthwise half has no bias
+            dwx, _ = self._fold(sites[0][0][:-1], None, dt)
+            dwt, _ = self._fold(sites[0][0][-1:], None, np.float64)
+        backend = self._kb
+        geometry = {}
+
+        def planes_for(h, w):
+            hit = geometry.get((h, w))
+            if hit is None:
+                planes = []
+                for t_raw in t_raws:
+                    t = np.full((1, 1, h, w), t_raw)
+                    if dw is not None:
+                        t = backend.conv2d(t, dwt, stride=dw_stride,
+                                           padding=dw_padding)
+                        np.rint(t, out=t)
+                        np.clip(t, fmin, fmax, out=t)
+                    p = backend.conv2d(t, wt, stride=stride,
+                                       padding=padding)[0]
+                    if bt is not None:
+                        p += bt.reshape(-1, 1, 1)
+                    planes.append(p.astype(dt))
+                diags = (None if dw is None
+                         else banded.depthwise_diagonals(dwx, h, w, dt))
+                hit = geometry[(h, w)] = (tuple(planes), diags)
+            return hit
+
+        def bind(n, h, w):
+            planes, diags = planes_for(h, w)
+            x = src = np.empty((n, c, h, w), dtype=dt)
+            if dw is not None:
+                d = src = np.empty_like(x)  # same-padded, stride 1
+            o = np.empty((n,) + planes[0].shape, dtype=dt)
+            src3 = src.reshape(n, c, -1)
+            o3 = o.reshape(n, o.shape[1], -1)  # views for the 1x1 GEMM
+
+            def step(i):
+                if dw is not None:
+                    banded.depthwise_banded(x, *diags, d)
+                    np.rint(d, out=d)
+                    np.clip(d, fmin, fmax, out=d)
+                if pointwise:
+                    pointwise_affine(src3, wmat, planes[i], o, o3)
+                else:
+                    np.add(backend.conv2d(src, wx, stride=stride,
+                                          padding=padding),
+                           planes[i], out=o)
+                np.rint(o, out=o)
+                np.clip(o, fmin, fmax, out=o)
+                return o
+
+            return x, step
+
+        return bind
 
     def _pack_mhsa(self, mhsa, executor):
         ffmt = self.ffmt
@@ -248,7 +409,7 @@ class QuantizedPlan:
             # raw -> value is an exact power-of-two scale; the quantized
             # MHSA requantises its input losslessly (same as the
             # executor's dequantize/quantize round-trip)
-            out = qm.forward(c * scale)
+            out = qm.forward(np.multiply(c, scale, dtype=np.float64))
             acc = out * inv_scale
             np.rint(acc, out=acc)
             np.clip(acc, fmin, fmax, out=acc)
@@ -257,30 +418,49 @@ class QuantizedPlan:
         return run
 
     def _pack_euler(self, h_step):
+        """The Euler update as ``run(z, f, e)``: ``z`` (the float64
+        carry) becomes ``clip(z + rint(f·h))`` in place, with ``e`` a
+        float64 scratch of its shape.
+
+        The clip after ``rint(f·h)`` is dropped when ``0 <= h <= 1`` in
+        the param format.  Proof: ``f`` is a conv output, so an integer
+        in ``[fmin, fmax]``, and ``fmin <= 0 <= fmax``.  For such ``h``,
+        ``f·h`` lies between ``0`` and ``f``, hence in ``[fmin, fmax]``;
+        the product is exact (``f·h_q`` fits the float64 mantissa on a
+        float site); and ``rint`` is monotone and fixes the integers
+        ``fmin`` and ``fmax``, so ``rint(f·h)`` stays in ``[fmin, fmax]``
+        and the clip is the identity.
+        """
         ffmt, pfmt = self.ffmt, self.pfmt
         fmin, fmax = float(ffmt.raw_min), float(ffmt.raw_max)
         h_q = int(pfmt.quantize(np.array(h_step)))
         if self._site_dtype(1) is None:
-            def run(z, f):
+            def run(z, f, e):
                 out = fixed_euler_update(z.astype(np.int64), f.astype(np.int64),
                                          ffmt, h_step, pfmt)
-                return out.astype(np.float64)
+                np.copyto(z, out)
+                return z
 
             return run
 
-        hf = float(h_q) * 2.0 ** -pfmt.frac_bits
+        hf = np.float64(h_q * 2.0 ** -pfmt.frac_bits)
+        clip_step = not 0 <= h_q <= 1 << pfmt.frac_bits
 
-        def run(z, f):
-            acc = f * hf
-            np.rint(acc, out=acc)
-            np.clip(acc, fmin, fmax, out=acc)
-            acc += z
-            np.clip(acc, fmin, fmax, out=acc)
-            return acc
+        def run(z, f, e):
+            np.multiply(f, hf, out=e)
+            np.rint(e, out=e)
+            if clip_step:
+                np.clip(e, fmin, fmax, out=e)
+            np.add(z, e, out=z)
+            np.clip(z, fmin, fmax, out=z)
+            return z
 
         return run
 
     def _pack_ode_block(self, block, executor):
+        """One ODE block as ``run(z, traced)``: BN-ReLU, time conv,
+        [MHSA,] BN-ReLU, time conv, Euler update — per step, on buffers
+        allocated once per call."""
         func = block.func
         steps = block.steps
         h_step = (block.t1 - block.t0) / steps
@@ -289,36 +469,32 @@ class QuantizedPlan:
             float(int(self.ffmt.quantize(np.array(float(block.t0 + i * h_step)))))
             for i in range(steps)
         )
-        bn1 = self._pack_bn(func.norm1, executor)
-        bn2 = self._pack_bn(func.norm2, executor)
+        bn1 = self._pack_bn_relu(func.norm1, executor)
+        bn2 = self._pack_bn_relu(func.norm2, executor)
         if isinstance(func, ConvODEFunc):
-            tc1 = self._pack_time_conv(func.conv1, executor)
-            tc2 = self._pack_time_conv(func.conv2, executor)
-
-            def dynamics(t_raw, z):
-                h = bn1(z)
-                np.maximum(h, 0.0, out=h)
-                h = tc1(h, t_raw)
-                h = bn2(h)
-                np.maximum(h, 0.0, out=h)
-                return tc2(h, t_raw)
+            tc1 = self._pack_time_conv(func.conv1, executor, t_raws)
+            tc2 = self._pack_time_conv(func.conv2, executor, t_raws)
+            mhsa = None
         else:
-            tc_down = self._pack_time_conv(func.down, executor)
-            tc_up = self._pack_time_conv(func.up, executor)
+            tc1 = self._pack_time_conv(func.down, executor, t_raws)
+            tc2 = self._pack_time_conv(func.up, executor, t_raws)
             mhsa = self._pack_mhsa(func.mhsa, executor)
 
-            def dynamics(t_raw, z):
-                h = bn1(z)
-                np.maximum(h, 0.0, out=h)
-                h = tc_down(h, t_raw)
-                h = mhsa(h)
-                h = bn2(h)
-                np.maximum(h, 0.0, out=h)
-                return tc_up(h, t_raw)
-
-        def run(z):
-            for t_raw in t_raws:
-                z = euler(z, dynamics(t_raw, z))
+        def run(z_in, traced):
+            n, _, h, w = z_in.shape
+            x1, conv1 = tc1(n, h, w)
+            x2, conv2 = tc2(n, h, w)
+            z = np.array(z_in, dtype=np.float64)
+            e = np.empty_like(z)
+            w1, w2 = _float_work(x1), _float_work(x2)
+            for i in range(steps):
+                _call(traced, "batchnorm2d", bn1, z, x1, w1)
+                a = _call(traced, "conv2d", conv1, i)
+                if mhsa is not None:
+                    a = mhsa(a)
+                _call(traced, "batchnorm2d", bn2, a, x2, w2)
+                f = _call(traced, "conv2d", conv2, i)
+                _call(traced, "add", euler, z, f, e)
             return z
 
         return run
@@ -372,40 +548,38 @@ class QuantizedPlan:
 
     # ------------------------------------------------------------------
     def _pack(self, executor):
-        """Derive the quantized weight set and build the stage pipeline."""
+        """Derive the quantized weight set and build the stage pipeline
+        (each stage maps ``(carry, traced)`` to the next carry)."""
         m = self.model
         stem = list(m.stem)
         pool = stem[3]
         stem_conv = self._pack_conv(stem[0], executor)
-        stem_bn = self._pack_bn(stem[1], executor)
+        stem_bn = self._pack_bn_relu(stem[1], executor)
         pool_args = (tuple(pool.kernel_size),
                      None if pool.stride is None else tuple(pool.stride),
                      tuple(pool.padding))
         backend = self._kb
 
-        def stem_stage(c):
-            c = stem_bn(stem_conv(c))
-            np.maximum(c, 0.0, out=c)
-            return backend.maxpool2d(c, pool_args[0], pool_args[1], pool_args[2])
+        def stem_stage(c, traced):
+            c = _call(traced, "conv2d", stem_conv, c)
+            c = _call(traced, "batchnorm2d", stem_bn, c)
+            return _call(traced, "maxpool2d", backend.maxpool2d, c, *pool_args)
 
         def downsample(ds):
             conv = self._pack_conv(ds.conv, executor)
-            bn = self._pack_bn(ds.bn, executor)
+            bn = self._pack_bn_relu(ds.bn, executor)
 
-            def run(c):
-                c = bn(conv(c))
-                np.maximum(c, 0.0, out=c)
-                return c
+            def run(c, traced):
+                c = _call(traced, "conv2d", conv, c)
+                return _call(traced, "batchnorm2d", bn, c)
 
             return run
 
-        head_bn = self._pack_bn(m.head_norm, executor)
+        head_bn = self._pack_bn_relu(m.head_norm, executor)
         head = self._pack_head(executor)
 
-        def head_stage(c):
-            c = head_bn(c)
-            np.maximum(c, 0.0, out=c)
-            return head(c)
+        def head_stage(c, traced):
+            return head(_call(traced, "batchnorm2d", head_bn, c))
 
         self._stages = (
             stem_stage,
@@ -430,11 +604,12 @@ class QuantizedPlan:
         ``QuantizedODENetExecutor.run`` on the same model and formats."""
         ffmt = self.ffmt
         fmin, fmax = float(ffmt.raw_min), float(ffmt.raw_max)
+        traced = bool(kernels.active_collectors())
         with kernels.use_backend("quantized"):
             c = np.asarray(images, dtype=np.float64) * float(1 << ffmt.frac_bits)
             c = np.clip(np.rint(c), fmin, fmax)
             for stage in self._stages:
-                c = stage(c)
+                c = stage(c, traced)
         return c * ffmt.scale
 
     __call__ = run

@@ -10,12 +10,20 @@ the parity suite in ``tests/test_kernels.py``):
   banded multiply-accumulate of :mod:`repro.kernels.banded`, and dense
   convs contract the zero-copy patch view with ``np.tensordot`` so the
   heavy lifting lands in BLAS ``matmul``, not the einsum machinery.
+* **maxpool2d** takes ``kh·kw`` shifted-slice ``np.maximum`` passes
+  over the (padded) input into one fresh output instead of reducing a
+  strided window view.  Max is exact, so the output equals the
+  reference bit for bit, for float and integer raws alike.
 * **per-thread caches** hold the banded diagonals (a bounded LRU keyed
   by weight content, so an in-place hot swap misses) and the padded
-  dense-conv inputs (a zero border written once) — the ODE solver
-  reuses each conv geometry every step.
-* **softmax / batchnorm** reuse their intermediates in place, halving
-  temporary allocations on the attention hot path.
+  dense-conv and pooling inputs (a border written once, keyed by
+  padded shape *and* padding) — the ODE solver reuses each conv
+  geometry every step.
+* **batchnorm2d** folds ``(mean, inv_std, weight, bias)`` into one
+  per-channel ``(scale, shift)`` pair and runs two passes; **relu** is
+  one ``np.maximum`` pass against a zero of the input's dtype (an
+  integer raw stays integer); **softmax** reuses its intermediate in
+  place.
 
 Integer (fixed-point raw) arrays take the same fast paths; integer
 addition is associative, so quantised results are *exactly* equal to the
@@ -48,8 +56,12 @@ class _Workspace(threading.local):
         self.cache = {}
         self.diags = {}
 
-    def get(self, tag, shape, dtype):
-        key = (tag, shape, np.dtype(dtype).str)
+    def get(self, tag, shape, dtype, padding):
+        """The zero-initialised scratch array for *tag*.  A canvas keeps
+        its border between calls, so *padding* is part of the key: the
+        same padded shape reached with another padding must not read the
+        previous call's interior as its border."""
+        key = (tag, shape, np.dtype(dtype).str, padding)
         buf = self.cache.get(key)
         if buf is None:
             buf = self.cache[key] = np.zeros(shape, dtype=dtype)
@@ -106,7 +118,7 @@ class FusedBackend(ReferenceBackend):
             xp = x
             if ph or pw:
                 xp = self._ws.get("pad", (n, c, h + 2 * ph, w + 2 * pw),
-                                  x.dtype)
+                                  x.dtype, (ph, pw))
                 xp[:, :, ph : ph + h, pw : pw + w] = x
             patches = shapes.as_strided_patches(xp, kh, kw, sh, sw)
             out = np.tensordot(patches, weight, axes=([1, 4, 5], [1, 2, 3]))
@@ -119,21 +131,29 @@ class FusedBackend(ReferenceBackend):
         kh, kw = kernel_size
         sh, sw = stride if stride is not None else kernel_size
         ph, pw = padding
-        shapes.conv_out_size(x.shape[2], x.shape[3], kh, kw, sh, sw, ph, pw)
+        n, c, h, w = x.shape
+        oh, ow = shapes.conv_out_size(h, w, kh, kw, sh, sw, ph, pw)
+        xp = x
         if ph or pw:
             # The pooling canvas needs a non-zero border fill, so it
-            # keeps its own workspace tag with the border refilled only
+            # keeps its own workspace tag with the border filled only
             # at allocation (the fill is dtype-determined, hence stable).
-            n, c, h, w = x.shape
-            key_shape = (n, c, h + 2 * ph, w + 2 * pw)
-            xp = self._ws.get("pool", key_shape, x.dtype)
-            if xp[0, 0, 0, 0] != shapes.pool_pad_value(x.dtype):
-                xp.fill(shapes.pool_pad_value(x.dtype))
+            pad_value = shapes.pool_pad_value(x.dtype)
+            xp = self._ws.get("pool", (n, c, h + 2 * ph, w + 2 * pw),
+                              x.dtype, (ph, pw))
+            if xp[0, 0, 0, 0] != pad_value:
+                xp.fill(pad_value)
             xp[:, :, ph : ph + h, pw : pw + w] = x
-        else:
-            xp = x
-        patches = shapes.as_strided_patches(xp, kh, kw, sh, sw)
-        return patches.max(axis=(4, 5))
+        out = xp[:, :, 0 : sh * oh : sh, 0 : sw * ow : sw].copy()
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    np.maximum(
+                        out,
+                        xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw],
+                        out=out,
+                    )
+        return out
 
     # -- elementwise / score kernels -----------------------------------
     def softmax(self, x, axis=-1):
@@ -141,10 +161,15 @@ class FusedBackend(ReferenceBackend):
         np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
         return e
 
+    def relu(self, x, out=None):
+        return np.maximum(x, x.dtype.type(0), out=out)
+
     def batchnorm2d(self, x, mean, inv_std, weight=None, bias=None):
-        out = x - mean
-        np.multiply(out, inv_std, out=out)
-        if weight is not None:
-            np.multiply(out, weight, out=out)
-            np.add(out, bias, out=out)
+        if weight is None:
+            scale, shift = inv_std, -(mean * inv_std)
+        else:
+            scale = inv_std * weight
+            shift = bias - mean * scale
+        out = np.multiply(x, scale, dtype=np.result_type(x, mean, scale, shift))
+        np.add(out, shift, out=out)
         return out

@@ -6,7 +6,10 @@ dispatched while the stack is non-empty records into *all* active
 collectors (so a session-level collector and an ad-hoc profiling
 collector can nest).  When the stack is empty — the common case — the
 dispatch layer skips timing entirely, keeping overhead to one truthiness
-check per call.
+check per call.  A kernel dispatched *inside* a recorded one (a
+``QuantizedPlan`` site running an exact-int64 fixed-point layer, say)
+belongs to the outer kernel's time and is not recorded again, so
+per-kernel seconds never count twice.
 
 ``repro.profiling`` re-exports :func:`collect` as ``collect_kernels``
 and :class:`repro.runtime.SessionStats` merges snapshots per dispatch.
@@ -58,6 +61,7 @@ class KernelCounters:
 class _Stack(threading.local):
     def __init__(self):
         self.collectors = []
+        self.recording = False
 
 
 _stack = _Stack()
@@ -88,10 +92,17 @@ def _nbytes(value) -> int:
 
 
 def record_dispatch(name, impl, args, kwargs):
-    """Run *impl* under the active collectors' clocks."""
-    t0 = time.perf_counter()
-    out = impl(*args, **kwargs)
-    dt = time.perf_counter() - t0
+    """Run *impl* under the active collectors' clocks (unrecorded when
+    nested inside another recorded dispatch)."""
+    if _stack.recording:
+        return impl(*args, **kwargs)
+    _stack.recording = True
+    try:
+        t0 = time.perf_counter()
+        out = impl(*args, **kwargs)
+        dt = time.perf_counter() - t0
+    finally:
+        _stack.recording = False
     nbytes = _nbytes(out) + sum(_nbytes(a) for a in args)
     for counters in _stack.collectors:
         counters.record(name, dt, nbytes)

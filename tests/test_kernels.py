@@ -395,6 +395,98 @@ ODE_MODELS = ("odenet", "ode_botnet")
 QUANT_FORMATS = ("16(8)-12(4)", "8(4)-8(4)", "4(2)-4(2)", "32(16)-24(8)")
 
 
+class TestFusedPassKernels:
+    """The ``fused`` pool, ReLU and batch norm: the shifted-slice pool is
+    exact, and the per-thread canvases never leak between paddings."""
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32, np.int64))
+    @pytest.mark.parametrize("k", (2, 3))
+    @pytest.mark.parametrize("stride", (1, 2))
+    @pytest.mark.parametrize("pad", (0, 1))
+    def test_maxpool_equals_reference_exactly(self, dtype, k, stride, pad, rng):
+        ref = kernels.get_backend("reference")
+        fb = kernels.FusedBackend()
+        x = (rng.normal(size=(2, 3, 9, 8)) * 100).astype(dtype)
+        args = ((k, k), (stride, stride), (pad, pad))
+        for case in (x, -np.abs(x) - 1):  # mixed signs, all negative
+            got = fb.maxpool2d(case, *args)
+            assert got.dtype == case.dtype
+            np.testing.assert_array_equal(got, ref.maxpool2d(case, *args))
+
+    @pytest.mark.parametrize("k", (2, 3))
+    @pytest.mark.parametrize("stride", (1, 2))
+    @pytest.mark.parametrize("pad", (0, 1))
+    def test_maxpool_propagates_nan_like_reference(self, k, stride, pad, rng):
+        ref = kernels.get_backend("reference")
+        fb = kernels.FusedBackend()
+        x = rng.normal(size=(2, 3, 9, 8))
+        x[0, 1, 3, 3] = np.nan
+        x[1, 2, 0, 7] = np.nan
+        args = ((k, k), (stride, stride), (pad, pad))
+        got = fb.maxpool2d(x, *args)
+        assert np.isnan(got).any()
+        np.testing.assert_array_equal(got, ref.maxpool2d(x, *args))
+
+    def test_conv_canvas_keyed_by_padding(self, rng):
+        """Same padded shape (1, 2, 12, 12), different padding: the second
+        call must not read the first call's interior as its border."""
+        ref = kernels.get_backend("reference")
+        fb = kernels.FusedBackend()
+        a = rng.normal(size=(1, 2, 10, 10))
+        b = rng.normal(size=(1, 2, 8, 8))
+        w3 = rng.normal(size=(3, 2, 3, 3))
+        w5 = rng.normal(size=(3, 2, 5, 5))
+        fb.conv2d(a, w3, padding=(1, 1))
+        got = fb.conv2d(b, w5, padding=(2, 2))
+        # dense convs contract via BLAS: equal up to summation order
+        np.testing.assert_allclose(got, ref.conv2d(b, w5, padding=(2, 2)),
+                                   rtol=0, atol=1e-12)
+        ai = (a * 100).astype(np.int64)
+        bi = (b * 100).astype(np.int64)
+        w3i = (w3 * 10).astype(np.int64)
+        w5i = (w5 * 10).astype(np.int64)
+        fb.conv2d(ai, w3i, padding=(1, 1))
+        np.testing.assert_array_equal(fb.conv2d(bi, w5i, padding=(2, 2)),
+                                      ref.conv2d(bi, w5i, padding=(2, 2)))
+
+    def test_pool_canvas_keyed_by_padding(self, rng):
+        ref = kernels.get_backend("reference")
+        fb = kernels.FusedBackend()
+        a = rng.normal(size=(1, 2, 10, 10))
+        b = rng.normal(size=(1, 2, 8, 8))
+        fb.maxpool2d(a, (3, 3), (1, 1), (1, 1))
+        got = fb.maxpool2d(b, (5, 5), (1, 1), (2, 2))
+        np.testing.assert_array_equal(
+            got, ref.maxpool2d(b, (5, 5), (1, 1), (2, 2)))
+
+    def test_relu_keeps_integer_dtype_and_honours_out(self, rng):
+        fb = kernels.FusedBackend()
+        ref = kernels.get_backend("reference")
+        xi = (rng.normal(size=(2, 3, 4, 4)) * 50).astype(np.int64)
+        got = fb.relu(xi)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref.relu(xi))
+        xf = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
+        out = np.empty_like(xf)
+        assert fb.relu(xf, out=out) is out
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, ref.relu(xf))
+
+    @pytest.mark.parametrize("affine", (False, True))
+    def test_batchnorm_folded_close(self, affine, rng):
+        ref = kernels.get_backend("reference")
+        fb = kernels.FusedBackend()
+        x = rng.normal(size=(2, 5, 6, 6)) * 3 + 1
+        mean = rng.normal(size=(1, 5, 1, 1))
+        inv_std = rng.uniform(0.5, 2.0, size=(1, 5, 1, 1))
+        extra = ((rng.normal(size=(1, 5, 1, 1)), rng.normal(size=(1, 5, 1, 1)))
+                 if affine else ())
+        want = ref.batchnorm2d(x, mean, inv_std, *extra)
+        got = fb.batchnorm2d(x, mean, inv_std, *extra)
+        assert got.dtype == want.dtype
+        assert _relative_close(want, got)
+
+
 def _quantized_executor(name, fmt="16(8)-12(4)"):
     from repro.fixedpoint import QuantizedODENetExecutor, parse_format_pair
 
@@ -513,6 +605,17 @@ class TestInstrumentation:
             kernels.relu(x)
         kernels.relu(x)  # outside the block: not recorded
         assert counters.calls["relu"] == 1
+
+    def test_nested_dispatch_is_not_recorded_twice(self, rng):
+        x = rng.normal(size=(2, 2))
+
+        def site(a):
+            return kernels.relu(kernels.relu(a))
+
+        with kernels.collect() as counters:
+            kernels.record_dispatch("conv2d", site, (x,), {})
+            kernels.relu(x)  # the flag is cleared after the outer call
+        assert counters.calls == {"conv2d": 1, "relu": 1}
 
     def test_session_stats_kernel_breakdown(self):
         model = build_model("ode_botnet", profile="tiny", inference=True)
