@@ -1,12 +1,12 @@
 """Schedule search + the on-disk schedule cache.
 
-A *schedule* is a flat dict of per-site strategy choices (see
-:mod:`repro.compile.plan`): which conv algorithm each dense site uses
-(``tensordot`` vs explicit im2col ``gemm``) and whether per-step time
+A *schedule* is a flat dict of strategy choices (see
+:mod:`repro.compile.plan`).  One axis is left: whether per-step time
 planes are precomputed (``unrolled``) or multiplied at step time
-(``runtime``).  The right choices are machine-dependent — BLAS builds,
-cache sizes and core counts move the crossover points — so
-:func:`autotune` searches them empirically: greedy coordinate descent
+(``runtime``).  Dense convs have no axis — every backend runs the
+``fused`` im2col GEMM.  The right choice is machine-dependent — BLAS
+builds, cache sizes and core counts move the crossover points — so
+:func:`autotune` searches it empirically: greedy coordinate descent
 over the axes, timing the *full* compiled forward with the benchmark
 harness's best-of-N discipline (minimum over repeats of a mean over
 inner iterations, the same estimator ``benchmarks/`` uses).
@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from .ir import COMPILE_VERSION, graph_hash, graph_signature, lower
+from .ir import COMPILE_VERSION, graph_hash, graph_signature
 from .plan import CompiledPlan
 
 __all__ = [
@@ -133,21 +133,11 @@ def save_schedule(packed, schedule, *, tuned=False, best_ms=None,
 def schedule_axes(packed):
     """The tunable axes of a packed plan: ``[(key, [choices...])]``.
 
-    One dense-conv axis per conv/fconv stage plus the global
-    time-plane mode.  The first choice of each axis is the heuristic default.
+    Only the global time-plane mode; *packed* is kept so the search
+    space stays a function of the plan.  The first choice of each axis
+    is the heuristic default.
     """
-    axes = []
-    for stage in lower(packed):
-        if stage.op in ("conv", "fconv"):
-            groups = getattr(stage.ir, "groups", 1)
-            # the gemm alternative reorders the reduction; that is only
-            # parity-safe (≤1e-6 vs reference) for float64 convs, where
-            # reassociation costs ~1e-15 — a float32 conv (the stem)
-            # would drift past the backend tolerance, so it gets no axis
-            if groups == 1 and stage.ir.weight.dtype == np.float64:
-                axes.append((f"conv:{stage.name}", ["tensordot", "gemm"]))
-    axes.append(("time_planes", ["unrolled", "runtime"]))
-    return axes
+    return [("time_planes", ["unrolled", "runtime"])]
 
 
 def default_schedule(packed) -> dict:

@@ -35,8 +35,10 @@ import numpy as np
 #: bump to invalidate every cached schedule across releases
 #: (2: float32 convs lost their gemm axis — cached schedules carrying
 #: one would now silently bind as tensordot; 3: the ``dw:<site>`` axis
-#: is gone — every depthwise conv runs the banded kernel)
-COMPILE_VERSION = 3
+#: is gone — every depthwise conv runs the banded kernel; 4: the
+#: ``conv:<site>`` axis is gone — every dense conv runs the ``fused``
+#: im2col GEMM)
+COMPILE_VERSION = 4
 
 _F64 = np.float64
 

@@ -12,10 +12,10 @@ Euler loop entirely out of preallocated buffers (zero per-step numpy
 allocation; see :mod:`repro.compile.steps`).
 
 The step program is scheduled by a plain dict (see
-:mod:`repro.compile.autotune`): per-site conv strategies
-(``tensordot`` vs explicit im2col ``gemm`` for dense convs) and the
-time-plane mode (``unrolled`` per-step precomputation vs ``runtime``
-multiply).  Depthwise convs have one strategy, the banded kernel of
+:mod:`repro.compile.autotune`) with one axis, the time-plane mode
+(``unrolled`` per-step precomputation vs ``runtime`` multiply).
+Outer dense convs (stem, downsamples) call the ``fused`` backend's
+im2col GEMM; depthwise convs have one strategy, the banded kernel of
 :mod:`repro.kernels.banded` on diagonals built at bind time.  Unknown
 keys are ignored and missing keys fall back to heuristics, so cached
 schedules stay forward compatible.
@@ -50,10 +50,6 @@ class CompileError(RuntimeError):
     """The packed plan contains a construct the compiler cannot lower."""
 
 
-def _conv_mode(schedule, site):
-    return schedule.get(f"conv:{site}", "tensordot")
-
-
 def _time_mode(schedule):
     return schedule.get("time_planes", "unrolled")
 
@@ -63,54 +59,6 @@ def _conv_out_hw(h, w, weight_shape, stride, padding):
     return shapes.conv_out_size(
         h, w, kh, kw, stride[0], stride[1], padding[0], padding[1]
     )
-
-
-def _bind_outer_gemm_conv(name, n, c, h, w, weight, bias_col, stride,
-                          padding, arena, fuse_relu, dtype):
-    """Bind a dense outer-stage conv as arena-backed im2col + GEMM.
-
-    Canvas, column buffer, GEMM output and the final NCHW buffer are
-    all persistent arena storage with their transposing views built
-    once, so steady-state calls are copy/GEMM/copy with zero
-    allocation — the ``gemm`` alternative the autotuner weighs against
-    ``tensordot`` (whose im2col copy reallocates every call).
-
-    ``dtype`` is the promoted input×weight dtype the reference path
-    computes this conv in — the GEMM must run in the same domain or a
-    float32 stage silently upgrades to float64 and drifts past the
-    backend parity tolerance.
-    """
-    f, _, kh, kw = weight.shape
-    sh, sw = stride
-    ph, pw = padding
-    oh, ow = _conv_out_hw(h, w, weight.shape, stride, padding)
-    canvas = arena.buffer(
-        f"{name}.canvas", (n, c, h + 2 * ph, w + 2 * pw), dtype=dtype,
-        zero=True,
-    )
-    patches_t = shapes.as_strided_patches(
-        canvas, kh, kw, sh, sw
-    ).transpose(0, 2, 3, 1, 4, 5)
-    colbuf = arena.buffer(f"{name}.cols", (n, oh, ow, c, kh, kw),
-                          dtype=dtype)
-    col2 = colbuf.reshape(n, oh * ow, c * kh * kw)
-    gemmbuf = arena.buffer(f"{name}.gemm", (n, oh * ow, f), dtype=dtype)
-    gemm_t = gemmbuf.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-    outbuf = arena.buffer(f"{name}.out", (n, f, oh, ow), dtype=dtype)
-    wmat_t = np.ascontiguousarray(weight.reshape(f, -1).T, dtype=dtype)
-
-    def fn(x):
-        steps.fill_canvas(canvas, x, ph, pw)
-        np.copyto(colbuf, patches_t)
-        np.matmul(col2, wmat_t, out=gemmbuf)
-        np.copyto(outbuf, gemm_t)
-        if bias_col is not None:
-            np.add(outbuf, bias_col, out=outbuf)
-        if fuse_relu:
-            np.maximum(outbuf, 0.0, out=outbuf)
-        return outbuf
-
-    return fn
 
 
 def _time_planes(tc, h, w, impl):
@@ -499,32 +447,20 @@ class _BoundPlan:
                 bias_col = (
                     None if bias is None else bias.reshape(1, -1, 1, 1)
                 )
-                fuse_relu = op == "fconv"
-                mode = _conv_mode(schedule, name)
-                io_dtype = np.result_type(cur_dtype, weight.dtype)
-                # gemm reorders the reduction: only parity-safe in
-                # float64 (see repro.compile.autotune.schedule_axes)
-                if (mode == "gemm" and groups == 1
-                        and io_dtype == np.float64):
-                    fn = _bind_outer_gemm_conv(
-                        name, n, c, h, w, weight, bias_col, stride,
-                        padding, arena, fuse_relu, io_dtype,
-                    )
-                else:
-                    def fn(x, *, _w=weight, _b=bias_col, _s=stride,
-                           _p=padding, _g=groups, _r=fuse_relu):
-                        out = impl.conv2d(
-                            x, _w, stride=_s, padding=_p, groups=_g
-                        )
-                        if _b is not None:
-                            out += _b
-                        if _r:
-                            np.maximum(out, 0.0, out=out)
-                        return out
+
+                def fn(x, *, _w=weight, _b=bias_col, _s=stride,
+                       _p=padding, _g=groups, _r=op == "fconv"):
+                    out = impl.conv2d(x, _w, stride=_s, padding=_p, groups=_g)
+                    if _b is not None:
+                        out += _b
+                    if _r:
+                        np.maximum(out, 0.0, out=out)
+                    return out
+
                 stages.append(("conv2d", fn, False))
                 h, w = _conv_out_hw(h, w, weight.shape, stride, padding)
                 c = weight.shape[0]
-                cur_dtype = io_dtype
+                cur_dtype = np.result_type(cur_dtype, weight.dtype)
             elif op == "ssr":
                 scale, shift = ir
                 cur_dtype = np.result_type(cur_dtype, scale.dtype)

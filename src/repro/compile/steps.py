@@ -156,11 +156,16 @@ def mhsa_merge(p, b, out):
     through the destination view ``b.mdst``."""
     np.copyto(b.cat4, b.ph_t)
     if p.ln is not None:
+        # each mean is np.mean's own arithmetic (a reduce-add, then a
+        # divide by the count) without its Python wrapper
         ln_w, ln_b, ln_eps = p.ln
-        np.mean(b.cat, axis=-1, keepdims=True, out=b.mu)
+        d = b.cat.shape[-1]
+        np.add.reduce(b.cat, axis=-1, keepdims=True, out=b.mu)
+        np.divide(b.mu, d, out=b.mu)
         np.subtract(b.cat, b.mu, out=b.cat)
         np.multiply(b.cat, b.cat, out=b.sq)
-        np.mean(b.sq, axis=-1, keepdims=True, out=b.mu)
+        np.add.reduce(b.sq, axis=-1, keepdims=True, out=b.mu)
+        np.divide(b.mu, d, out=b.mu)
         np.add(b.mu, ln_eps, out=b.mu)
         np.power(b.mu, -0.5, out=b.mu)
         np.multiply(b.cat, b.mu, out=b.cat)

@@ -7,18 +7,25 @@ the parity suite in ``tests/test_kernels.py``):
 * **conv2d** picks a shape-specialised strategy instead of the generic
   grouped einsum: 1×1 stride-1 pointwise convs collapse to one batched
   GEMM over the channel axis, same-padded depthwise convs run the
-  banded multiply-accumulate of :mod:`repro.kernels.banded`, and dense
-  convs contract the zero-copy patch view with ``np.tensordot`` so the
-  heavy lifting lands in BLAS ``matmul``, not the einsum machinery.
-* **maxpool2d** takes ``kh·kw`` shifted-slice ``np.maximum`` passes
-  over the (padded) input into one fresh output instead of reducing a
-  strided window view.  Max is exact, so the output equals the
-  reference bit for bit, for float and integer raws alike.
+  banded multiply-accumulate of :mod:`repro.kernels.banded`, and every
+  other dense conv is one im2col GEMM: the patch view copied into a
+  fresh (C·KH·KW, N·OH·OW) column array in the promoted input×weight
+  dtype, one ``np.matmul`` against the (F, C·KH·KW) weight, one
+  transposing copy into a fresh NCHW output.  Integer raws, which
+  numpy multiplies without BLAS, take the (N·OH·OW, C·KH·KW) column
+  layout instead, so the reduction runs over contiguous memory.
+* **maxpool2d** is separable: ``kw`` strided ``np.maximum`` passes
+  along W into an (N, C, H, OW) row array, then ``kh`` passes along H
+  over that narrower array into the output — ``(kw-1)+(kh-1)`` passes
+  instead of ``kh·kw-1``.  Max is exact and associative, so the output
+  equals the reference bit for bit, for float and integer raws alike.
 * **per-thread caches** hold the banded diagonals (a bounded LRU keyed
-  by weight content, so an in-place hot swap misses) and the padded
+  by weight content, so an in-place hot swap misses), the padded
   dense-conv and pooling inputs (a border written once, keyed by
-  padded shape *and* padding) — the ODE solver reuses each conv
-  geometry every step.
+  padded shape *and* padding) and each dense-conv canvas's patch view
+  — the ODE solver reuses each conv geometry every step.  Column and
+  GEMM buffers are *not* cached: serving binds many batch sizes, and
+  a buffer per shape would pin memory for each.
 * **batchnorm2d** folds ``(mean, inv_std, weight, bias)`` into one
   per-channel ``(scale, shift)`` pair and runs two passes; **relu** is
   one ``np.maximum`` pass against a zero of the input's dtype (an
@@ -50,10 +57,12 @@ DIAGONAL_CACHE_ENTRIES = 16
 
 
 class _Workspace(threading.local):
-    """Per-thread scratch arrays and banded depthwise diagonals."""
+    """Per-thread scratch arrays, dense-conv patch views and banded
+    depthwise diagonals."""
 
     def __init__(self):
         self.cache = {}
+        self.patches = {}
         self.diags = {}
 
     def get(self, tag, shape, dtype, padding):
@@ -66,6 +75,26 @@ class _Workspace(threading.local):
         if buf is None:
             buf = self.cache[key] = np.zeros(shape, dtype=dtype)
         return buf
+
+    def padded_patches(self, x, kh, kw, sh, sw, ph, pw):
+        """Write *x* into its zero-bordered ``"pad"`` canvas and return
+        the canvas's patch view transposed to (C, KH, KW, N, OH, OW).
+        The interior slice and the view own no memory and are built
+        once per canvas geometry and window."""
+        key = (x.shape, x.dtype.str, ph, pw, kh, kw, sh, sw)
+        hit = self.patches.get(key)
+        if hit is None:
+            n, c, h, w = x.shape
+            canvas = self.get("pad", (n, c, h + 2 * ph, w + 2 * pw),
+                              x.dtype, (ph, pw))
+            hit = self.patches[key] = (
+                canvas[:, :, ph : ph + h, pw : pw + w],
+                shapes.as_strided_patches(canvas, kh, kw, sh, sw)
+                .transpose(1, 4, 5, 0, 2, 3),
+            )
+        interior, patches = hit
+        np.copyto(interior, x)
+        return patches
 
     def diagonals(self, weight, h, w, dtype):
         """Cached :func:`banded.depthwise_diagonals`, keyed by the
@@ -113,16 +142,32 @@ class FusedBackend(ReferenceBackend):
             )
 
         if groups == 1:
-            # Contract (C, KH, KW) against the weight via BLAS, padding
-            # on a reusable canvas whose zero border is written once.
-            xp = x
+            # im2col GEMM.  The output must be fresh: callers add a bias
+            # into it in place.
             if ph or pw:
-                xp = self._ws.get("pad", (n, c, h + 2 * ph, w + 2 * pw),
-                                  x.dtype, (ph, pw))
-                xp[:, :, ph : ph + h, pw : pw + w] = x
-            patches = shapes.as_strided_patches(xp, kh, kw, sh, sw)
-            out = np.tensordot(patches, weight, axes=([1, 4, 5], [1, 2, 3]))
-            return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+                patches = self._ws.padded_patches(x, kh, kw, sh, sw, ph, pw)
+            else:
+                patches = shapes.as_strided_patches(
+                    x, kh, kw, sh, sw
+                ).transpose(1, 4, 5, 0, 2, 3)
+            wmat = weight.reshape(f, -1).astype(dtype, copy=False)
+            if dtype.kind == "f":  # BLAS: (F, K) @ (K, N·OH·OW)
+                cols = np.empty(patches.shape, dtype=dtype)
+                np.copyto(cols, patches)
+                gemm = np.matmul(wmat, cols.reshape(c * kh * kw, -1))
+                gemm = gemm.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
+            else:
+                # numpy's integer matmul loops over the reduction
+                # innermost, so integer raws keep K contiguous instead:
+                # (N·OH·OW, K) @ (K, F), 2-3x faster than (F, K) @ (K, M)
+                patches = patches.transpose(3, 4, 5, 0, 1, 2)
+                cols = np.empty(patches.shape, dtype=dtype)
+                np.copyto(cols, patches)
+                gemm = np.matmul(cols.reshape(n * oh * ow, -1), wmat.T)
+                gemm = gemm.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
+            out = np.empty((n, f, oh, ow), dtype=dtype)
+            np.copyto(out, gemm)
+            return out
 
         # General grouped case: the reference einsum (rare in practice).
         return super().conv2d(x, weight, stride, padding, groups)
@@ -144,15 +189,14 @@ class FusedBackend(ReferenceBackend):
             if xp[0, 0, 0, 0] != pad_value:
                 xp.fill(pad_value)
             xp[:, :, ph : ph + h, pw : pw + w] = x
-        out = xp[:, :, 0 : sh * oh : sh, 0 : sw * ow : sw].copy()
-        for i in range(kh):
-            for j in range(kw):
-                if i or j:
-                    np.maximum(
-                        out,
-                        xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw],
-                        out=out,
-                    )
+        # Separable: kw passes along W into a row array, then kh passes
+        # along H over that sw-times-narrower array.
+        rows = xp[:, :, :, 0 : sw * ow : sw].copy()
+        for j in range(1, kw):
+            np.maximum(rows, xp[:, :, :, j : j + sw * ow : sw], out=rows)
+        out = rows[:, :, 0 : sh * oh : sh].copy()
+        for i in range(1, kh):
+            np.maximum(out, rows[:, :, i : i + sh * oh : sh], out=out)
         return out
 
     # -- elementwise / score kernels -----------------------------------

@@ -1,8 +1,8 @@
 """The ``quantized`` backend: exact integer GEMMs on the float BLAS path.
 
 Integer (fixed-point raw) GEMM-family kernels under ``reference`` and
-``fused`` run through numpy's int64 einsum/tensordot machinery, which
-has no BLAS behind it — an order of magnitude slower than the float
+``fused`` run through numpy's int64 einsum/matmul loops, which have
+no BLAS behind them — an order of magnitude slower than the float
 paths for the conv-heavy ODENet forwards.  The trick this backend adds:
 integer arithmetic is *exact* in IEEE floats as long as every value —
 every product and every partial sum — stays below the mantissa capacity

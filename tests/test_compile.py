@@ -16,11 +16,13 @@ Four contracts:
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import kernels
+from repro.compile import steps
 from repro.compile import (
     COMPILE_VERSION,
     CompiledPlan,
@@ -98,6 +100,34 @@ class TestCompiledParity:
                     err_msg=f"{key}={choice}",
                 )
 
+    def test_mhsa_merge_means_are_np_mean_bit_for_bit(self):
+        """The LayerNorm in ``steps.mhsa_merge`` takes its means as a
+        reduce-add and a divide; that must be ``np.mean`` byte for byte."""
+        # a width of 24, not a power of two: dividing by it is not
+        # the same as multiplying by its reciprocal
+        n, ntok, heads, dh = 2, 16, 3, 8
+        inner, eps = heads * dh, 1e-5
+        ph = RNG.standard_normal((n, heads, ntok, dh)) * 3 + 1
+        ln_w, ln_b = RNG.standard_normal(inner), RNG.standard_normal(inner)
+        b = SimpleNamespace(
+            ph=ph, cat=np.empty((n, ntok, inner)), mu=np.empty((n, ntok, 1)),
+            sq=np.empty((n, ntok, inner)),
+        )
+        out = np.empty((n, inner, ntok))
+        b.ph_t = ph.transpose(0, 2, 1, 3)
+        b.cat4 = b.cat.reshape(n, ntok, heads, dh)
+        b.cat_t = b.cat.transpose(0, 2, 1)
+        b.mdst = out
+        steps.mhsa_merge(SimpleNamespace(ln=(ln_w, ln_b, eps)), b, out)
+
+        cat = np.ascontiguousarray(b.ph_t).reshape(n, ntok, inner)
+        cat = cat - np.mean(cat, axis=-1, keepdims=True)
+        var = np.mean(cat * cat, axis=-1, keepdims=True)
+        cat = cat * np.power(var + eps, -0.5) * ln_w + ln_b
+        assert out.tobytes() == np.ascontiguousarray(
+            cat.transpose(0, 2, 1)
+        ).tobytes()
+
     def test_compiled_is_deterministic(self):
         model = build_model("odenet", profile="tiny", inference=True)
         plan = compile_packed(PackedODENet(model))
@@ -169,6 +199,19 @@ class TestScheduleCache:
         assert load_schedule(packed) is None
         assert compile_packed(packed).schedule == default_schedule(packed)
         assert not any(k.startswith("dw:") for k in default_schedule(packed))
+        # a version-3 schedule carrying the retired dense-conv axis
+        # misses too: every dense conv now runs the fused im2col GEMM
+        del entry["schedule"]["dw:block1.conv1"]
+        entry["compile_version"] = 3
+        entry["schedule"]["conv:stem"] = "gemm"
+        entry["schedule"]["conv:down1"] = "gemm"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        assert load_schedule(packed) is None
+        assert compile_packed(packed).schedule == default_schedule(packed)
+        for name in PACKABLE:
+            axes = schedule_axes(self._packed(name))
+            assert not any(key.startswith("conv:") for key, _ in axes)
 
     def test_corrupt_cache_file_is_a_miss(self, schedule_cache):
         packed = self._packed()

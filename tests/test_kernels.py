@@ -18,6 +18,7 @@ The kernel layer's contract has three parts, each pinned here:
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -485,6 +486,90 @@ class TestFusedPassKernels:
         got = fb.batchnorm2d(x, mean, inv_std, *extra)
         assert got.dtype == want.dtype
         assert _relative_close(want, got)
+
+
+class TestFusedDenseConv:
+    """Every dense conv the 1×1 and banded branches leave is one im2col
+    GEMM on a per-thread canvas: close to ``reference`` in float, exact
+    on integer raws, and never stale across calls or threads."""
+
+    @pytest.mark.parametrize("k", (1, 3, 5, 7))
+    @pytest.mark.parametrize("stride", (1, 2))
+    @pytest.mark.parametrize("pad", (0, 1, 3))
+    @pytest.mark.parametrize("n", (1, 3))
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_float_parity(self, k, stride, pad, n, dtype, rng):
+        ref = kernels.get_backend("reference")
+        fb = kernels.FusedBackend()
+        x = rng.normal(size=(n, 3, 11, 10)).astype(dtype)
+        wt = rng.normal(size=(4, 3, k, k)).astype(dtype)
+        args = ((stride, stride), (pad, pad), 1)
+        want = ref.conv2d(x, wt, *args)
+        got = fb.conv2d(x, wt, *args)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert _relative_close(want, got)
+
+    @pytest.mark.parametrize("k,stride,pad", ((3, 1, 1), (7, 2, 3), (3, 2, 0)))
+    def test_integer_raws_exact(self, k, stride, pad, rng):
+        ref = kernels.get_backend("reference")
+        fb = kernels.FusedBackend()
+        x = rng.integers(-2**20, 2**20, size=(2, 3, 11, 10), dtype=np.int64)
+        wt = rng.integers(-2**12, 2**12, size=(4, 3, k, k), dtype=np.int64)
+        args = ((stride, stride), (pad, pad), 1)
+        got = fb.conv2d(x, wt, *args)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref.conv2d(x, wt, *args))
+
+    def test_canvas_interior_rewritten_each_call(self, rng):
+        ref = kernels.get_backend("reference")
+        fb = kernels.FusedBackend()
+        wt = rng.normal(size=(4, 3, 3, 3))
+        for _ in range(2):
+            x = rng.normal(size=(2, 3, 9, 9))
+            assert _relative_close(ref.conv2d(x, wt, (2, 2), (1, 1), 1),
+                                   fb.conv2d(x, wt, (2, 2), (1, 1), 1))
+
+    def test_output_is_fresh(self, rng):
+        """Callers add a bias into the output in place; that must not
+        reach the next call's result, nor the next call overwrite it."""
+        fb = kernels.FusedBackend()
+        x = rng.normal(size=(2, 3, 9, 9))
+        wt = rng.normal(size=(4, 3, 3, 3))
+        first = fb.conv2d(x, wt, (1, 1), (1, 1), 1)
+        want = first.copy()
+        first += 100.0
+        np.testing.assert_array_equal(fb.conv2d(x, wt, (1, 1), (1, 1), 1), want)
+        np.testing.assert_array_equal(first, want + 100.0)
+
+    def test_threads_on_one_geometry_agree(self, rng):
+        fb = kernels.FusedBackend()
+        x = rng.normal(size=(2, 3, 16, 16))
+        wt = rng.normal(size=(8, 3, 7, 7))
+        want = fb.conv2d(x, wt, (2, 2), (3, 3), 1)
+        results, errors = [], []
+
+        def work():
+            try:
+                for _ in range(50):
+                    results.append(fb.conv2d(x, wt, (2, 2), (3, 3), 1))
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(results) == 200
+        for got in results:
+            np.testing.assert_array_equal(got, want)
 
 
 def _quantized_executor(name, fmt="16(8)-12(4)"):
